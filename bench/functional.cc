@@ -4,11 +4,10 @@
  * emulator itself run, in kilo-instructions executed per wall-clock
  * second (KIPS)?
  *
- * The interpreter `Emulator` sits under three load-bearing paths —
- * checkpoint builds / functional fast-forward, whole-run functional
- * counts, and the per-retire lockstep shadow — so its raw stepping
- * speed multiplies directly into sampled-simulation and fuzz
- * wall-time. This binary gives that speed a regression trajectory of
+ * The interpreter `Emulator` sits under two load-bearing paths —
+ * checkpoint builds / functional fast-forward and whole-run functional
+ * counts — so its raw stepping speed multiplies directly into
+ * sampled-simulation wall-time. This binary gives that speed a regression trajectory of
  * its own, exactly like bench/throughput.cc does for the detailed
  * pipeline.
  *
@@ -18,13 +17,11 @@
  * aggregate line, each of the form
  *
  *   {"bench": "gzip", "kips": 123456.7, "insts": 1234567,
- *    "wall_s": 0.010, "decode": "on"}
+ *    "wall_s": 0.010}
  *
  * The aggregate line uses "bench": "aggregate"; its kips is total
- * instructions over total wall time. The "decode" field records which
- * execution core ran: "on" is the pre-decoded fast path, "off" the
- * legacy decode-per-step loop (the RIX_DECODE escape hatch). Redirect
- * to BENCH_functional.json to archive a trajectory point.
+ * instructions over total wall time. Redirect to BENCH_functional.json
+ * to archive a trajectory point.
  *
  * Knobs: RIX_SCALE / RIX_BENCH as in every bench binary, plus
  * RIX_FUNC_REPS (default 3): each workload is run REPS times and the
@@ -51,12 +48,11 @@ secondsSince(Clock::time_point t0)
 }
 
 void
-printLine(const std::string &name, double kips, u64 insts, double wall,
-          const char *decode)
+printLine(const std::string &name, double kips, u64 insts, double wall)
 {
     printf("{\"bench\": \"%s\", \"kips\": %.1f, \"insts\": %llu, "
-           "\"wall_s\": %.4f, \"decode\": \"%s\"}\n",
-           name.c_str(), kips, (unsigned long long)insts, wall, decode);
+           "\"wall_s\": %.4f}\n",
+           name.c_str(), kips, (unsigned long long)insts, wall);
 }
 
 } // namespace
@@ -66,7 +62,6 @@ main()
 {
     const std::vector<std::string> benches = benchList();
     const u64 reps = envPositiveCount("RIX_FUNC_REPS", 3);
-    const char *decode = emulatorDecodeFromEnv() ? "on" : "off";
 
     // Build (and cache) every program outside the timed region: we are
     // measuring the emulator, not the workload generators or the
@@ -94,13 +89,13 @@ main()
                 best = wall;
         }
         const double kips = best > 0 ? insts / 1000.0 / best : 0.0;
-        printLine(bm, kips, insts, best, decode);
+        printLine(bm, kips, insts, best);
         total_insts += insts;
         total_wall += best;
     }
 
     const double agg_kips =
         total_wall > 0 ? total_insts / 1000.0 / total_wall : 0.0;
-    printLine("aggregate", agg_kips, total_insts, total_wall, decode);
+    printLine("aggregate", agg_kips, total_insts, total_wall);
     return 0;
 }

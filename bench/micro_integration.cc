@@ -12,6 +12,7 @@
 #include "core/integration.hh"
 #include "cpu/core.hh"
 #include "sim/presets.hh"
+#include "sim/simulator.hh"
 #include "workload/workload.hh"
 
 using namespace rix;
@@ -127,6 +128,7 @@ BM_SimulatedCore(benchmark::State &state)
                             : baselineParams();
         Core core(prog, cp);
         core.run(20000, 1'000'000);
+        requireNoDivergence(core, prog.name);
         benchmark::DoNotOptimize(core.stats().retired);
         state.SetItemsProcessed(state.items_processed() +
                                 s64(core.stats().retired));

@@ -65,6 +65,7 @@ main(int argc, char **argv)
     const CoreParams params = integrationParams(mode);
     Core core(prog, params);
     core.run(100'000'000, 2'000'000'000);
+    requireNoDivergence(core, argv[1]);
     if (!core.halted()) {
         fprintf(stderr, "did not halt within the simulation budget\n");
         return 1;

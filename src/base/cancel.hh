@@ -12,7 +12,7 @@
  *
  * Zero overhead when off: a loop that was not handed a token performs
  * one null-pointer test per poll interval and nothing else (the same
- * discipline as the lockstep checker's disabled path).
+ * discipline as the core's detached trace and metrics hooks).
  *
  * Thread-safety: cancel() may be called from any thread (an external
  * watchdog, a signal-handling thread); poll() is called from the

@@ -15,7 +15,7 @@
  * Status taxonomy (also the wire names of the `rix serve` protocol):
  *
  *   ok          completed within limits
- *   divergence  lockstep checker stopped the core (permanent)
+ *   divergence  the DIVA check stopped the core (permanent)
  *   stuck       pipeline watchdog: no retirement progress (permanent)
  *   timeout     wall-clock deadline passed (transient: host-load
  *               dependent, retried per policy)

@@ -22,7 +22,6 @@ Core::Core(const Program &program, const CoreParams &params)
       operandWaiters(p.integ.numPhysRegs)
 {
     initArchState();
-    resetLockstep(nullptr);
 }
 
 void
@@ -30,7 +29,6 @@ Core::reset(const Program &program, const CoreParams &params)
 {
     golden_.reset(program);
     resetMicroarch(program, params);
-    resetLockstep(nullptr);
 }
 
 void
@@ -39,22 +37,6 @@ Core::reset(const Program &program, const CoreParams &params,
 {
     golden_.restore(program, from);
     resetMicroarch(program, params);
-    resetLockstep(&from);
-}
-
-void
-Core::resetLockstep(const Checkpoint *from)
-{
-    if (!p.check.lockstep && !lockstepCheckFromEnv()) {
-        lockstep_.reset();
-        return;
-    }
-    if (!lockstep_)
-        lockstep_ = std::make_unique<LockstepChecker>();
-    if (from)
-        lockstep_->reset(*prog, *from);
-    else
-        lockstep_->reset(*prog);
 }
 
 void
@@ -104,7 +86,7 @@ Core::resetMicroarch(const Program &program, const CoreParams &params)
     renameStreamPos = 0;
     cycle = 0;
     done = false;
-    diverged_ = false;
+    divergence_ = DivergenceReport{};
     stuck_ = false;
     stuckReason_.clear();
     cancel_ = nullptr;

@@ -24,7 +24,7 @@
  * instruction is re-executed architecturally and compared. For
  * integrated instructions a mismatch is a mis-integration (full flush,
  * LISP training); for anything else it is a simulator invariant
- * violation and panics.
+ * violation, recorded as a DivergenceReport that stops the core.
  */
 
 #ifndef RIX_CPU_CORE_HH
@@ -40,9 +40,9 @@
 #include "base/cancel.hh"
 #include "core/integration.hh"
 #include "cpu/core_stats.hh"
+#include "cpu/divergence.hh"
 #include "cpu/dyn_inst.hh"
 #include "cpu/dyn_inst_pool.hh"
-#include "cpu/lockstep.hh"
 #include "cpu/params.hh"
 #include "emu/emulator.hh"
 #include "mem/write_buffer.hh"
@@ -110,7 +110,7 @@ class Core
         retireStopAt = absolute_retired;
     }
 
-    bool halted() const { return done && !diverged_ && !stuck_; }
+    bool halted() const { return done && !divergence_.diverged && !stuck_; }
     Cycle now() const { return cycle; }
     const CoreStats &stats() const { return stats_; }
     const CoreParams &params() const { return p; }
@@ -119,25 +119,19 @@ class Core
     const Emulator &golden() const { return golden_; }
 
     /**
-     * True when this core carries a lockstep checker (configured via
-     * CoreParams::check.lockstep or the RIX_CHECK=1 environment knob,
-     * re-evaluated at every reset).
-     */
-    bool lockstepEnabled() const { return lockstep_ != nullptr; }
-
-    /**
-     * Non-null after lockstep checking detected a divergence: the run
-     * stopped at the offending instruction (halted() stays false) and
-     * the report carries the architectural position, disassembly,
-     * mismatching values and both architectural states. Always null
-     * when lockstep checking is off — without it a divergence is a
-     * panic, exactly the historical behaviour.
+     * Non-null after the DIVA check found a divergence on a
+     * non-integrated instruction (a simulator bug, not a
+     * mis-integration): the run stopped at the offending instruction
+     * (halted() stays false) and the report carries the architectural
+     * position, disassembly, mismatching values and the committed
+     * architectural state. A driver that calls run() directly must
+     * check this before trusting the statistics (requireNoDivergence
+     * in sim/simulator.hh).
      */
     const DivergenceReport *
     divergence() const
     {
-        return lockstep_ && lockstep_->diverged() ? &lockstep_->report()
-                                                  : nullptr;
+        return divergence_.diverged ? &divergence_ : nullptr;
     }
 
     /**
@@ -161,13 +155,6 @@ class Core
      */
     bool stuck() const { return stuck_; }
     const std::string &stuckReason() const { return stuckReason_; }
-
-    /** The lockstep shadow emulator (tests); null when disabled. */
-    const Emulator *
-    shadowEmulator() const
-    {
-        return lockstep_ ? &lockstep_->shadow() : nullptr;
-    }
 
     IntegrationEngine &integration() { return integ; }
     RegStateVector &regStateVector() { return regState; }
@@ -316,18 +303,16 @@ class Core
      *  shared by the fresh and from-checkpoint paths. */
     void resetMicroarch(const Program &prog, const CoreParams &params);
 
-    /** (De)activate the lockstep checker per the current params/env
-     *  and seed its shadow emulator (from @p from when resuming a
-     *  checkpoint, else from the program start). */
-    void resetLockstep(const Checkpoint *from);
-
-    /** Stop the run after the lockstep checker recorded a divergence. */
-    void
-    stopDiverged()
-    {
-        diverged_ = true;
-        done = true;
-    }
+    /** Record a DIVA divergence on @p di (what diverged and why) and
+     *  stop the run; divergence.cc. */
+    void stopDiverged(const DynInst &di, const char *kind,
+                      std::string reason);
+    /** The pipeline retires a pc the architectural stream never
+     *  reaches (golden_.pc() != di.pc). */
+    void recordStreamMismatch(const DynInst &di);
+    /** A non-integrated instruction's pipeline result disagrees with
+     *  the golden preview @p expected. */
+    void recordValueMismatch(const DynInst &di, const StepResult &expected);
 
     /** Shared tail of construction and reset(): pin the zero register,
      *  map the architectural registers from the golden state, point
@@ -339,14 +324,9 @@ class Core
     // The program's pre-decoded form: fetch hands each DynInst a
     // pointer into it, and the pipeline stages read port/latency/
     // operand metadata from there instead of re-deriving traits.
-    // Held unconditionally (RIX_DECODE gates only the Emulator's
-    // execution loop, not the pipeline's metadata source).
     std::shared_ptr<const DecodedProgram> deco_;
     CoreParams p;
     Emulator golden_;
-    // Null when lockstep checking is off: the only hot-path cost of
-    // the disabled checker is a pointer test per retired instruction.
-    std::unique_ptr<LockstepChecker> lockstep_;
     MemHierarchy mem;
     BranchPredictorUnit bpred;
     RegStateVector regState;
@@ -428,7 +408,7 @@ class Core
     u64 renameStreamPos = 0;
     Cycle cycle = 0;
     bool done = false;
-    bool diverged_ = false;
+    DivergenceReport divergence_;
     bool stuck_ = false;
     std::string stuckReason_;
     const CancelToken *cancel_ = nullptr;
@@ -437,10 +417,9 @@ class Core
     CoreStats stats_;
 
     // ---- observability (PR 9) ----
-    // Null when off — the same discipline as lockstep_: the only
-    // hot-path cost of the disabled tracer is one pointer test per
-    // retiring/squashed instruction, and of disabled metrics one
-    // pointer test per cycle in run(). Neither ever feeds back into
+    // Null when off: the only hot-path cost of the disabled tracer is
+    // one pointer test per retiring/squashed instruction, and of
+    // disabled metrics one pointer test per cycle in run(). Neither ever feeds back into
     // simulated state.
     TraceSink *trace_ = nullptr;
     u64 traceStart_ = 0;

@@ -183,10 +183,6 @@ Core::executeLoad(DynInst &di)
     const Cycle done = forwarded
                            ? agen_done + p.storeForwardLatency
                            : mem.read(addr, agen_done);
-    if (getenv("RIX_TRACE_LOADS") && di.seq < 600)
-        fprintf(stderr, "load seq=%llu issue=%llu addr=%llx done=%llu\n",
-                (unsigned long long)di.seq, (unsigned long long)cycle,
-                (unsigned long long)addr, (unsigned long long)done);
     scheduleCompletion(di, done);
     return true;
 }

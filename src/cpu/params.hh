@@ -23,19 +23,6 @@
 namespace rix
 {
 
-/** Differential-verification knobs (spec key group "check"). */
-struct CheckParams
-{
-    /**
-     * Retire-time lockstep checking against an independent shadow
-     * emulator: a divergence stops the core with a DivergenceReport
-     * (Core::divergence()) instead of panicking. RIX_CHECK=1 forces
-     * this on for every core in the process. Timing and statistics
-     * are unaffected — the shadow is purely an observer.
-     */
-    bool lockstep = false;
-};
-
 struct CoreParams
 {
     // Widths.
@@ -82,9 +69,6 @@ struct CoreParams
     BranchPredictorParams bpred;
     MemHierarchyParams mem;
     IntegrationParams integ;
-
-    // Differential verification (src/cpu/lockstep.hh).
-    CheckParams check;
 
     // Safety net for simulator debugging.
     u64 watchdogCycles = 200000;

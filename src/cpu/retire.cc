@@ -2,14 +2,15 @@
  * @file
  * DIVA checking, retirement, and squash recovery.
  *
- * The DIVA checker is the in-order golden emulator stepping in lockstep
- * with retirement: every retiring instruction's pipeline-produced
+ * The DIVA checker is the in-order golden emulator stepping along with
+ * retirement: every retiring instruction's pipeline-produced
  * result is compared against the architecturally correct one. A
  * mismatch on an integrated instruction is a mis-integration (full
  * pipeline flush including the offender, modeled as a monolithic
  * one-cycle recovery, plus LISP training and IT-entry invalidation); a
- * mismatch on anything else is a simulator bug and panics — the checker
- * doubles as an end-to-end correctness oracle for the whole model.
+ * mismatch on anything else is a simulator bug, recorded as a
+ * structured DivergenceReport that stops the core — the checker doubles
+ * as the end-to-end correctness oracle for the whole model.
  *
  * Squash recovery walks the ROB youngest-first, restoring the map table
  * and undoing reference-count increments serially (the paper's
@@ -129,10 +130,6 @@ Core::divaCheck(const DynInst &di, const StepResult &expected) const
 void
 Core::handleMisintegration(DynInst &di)
 {
-    if (getenv("RIX_TRACE_MISINT"))
-        fprintf(stderr, "misint seq=%llu pc=%llu %s\n",
-                (unsigned long long)di.seq, (unsigned long long)di.pc,
-                disassemble(di.inst).c_str());
     ++stats_.misintegrations;
     if (di.isLoad())
         ++stats_.misintLoads;
@@ -272,41 +269,18 @@ Core::retireStage()
         }
 
         if (golden_.pc() != di.pc) {
-            if (lockstep_) {
-                lockstep_->recordStreamMismatch(di, golden_);
-                stopDiverged();
-                return;
-            }
-            rix_panic("retire stream diverged: pipeline pc=%llu golden "
-                      "pc=%llu (%s)",
-                      (unsigned long long)di.pc,
-                      (unsigned long long)golden_.pc(),
-                      disassemble(di.inst).c_str());
+            recordStreamMismatch(di);
+            return;
         }
 
         const StepResult expected = golden_.preview();
         if (!divaCheck(di, expected)) {
+            // A wrong result on a non-integrated instruction is a
+            // genuine execution bug, reported as a structured
+            // divergence (the fuzz driver's raw material).
             if (!di.integrated) {
-                // A wrong result on a non-integrated instruction is a
-                // genuine execution bug. With the lockstep checker on
-                // it becomes a structured divergence report (the fuzz
-                // driver's raw material); without it, the historical
-                // panic.
-                if (lockstep_) {
-                    lockstep_->recordValueMismatch(
-                        di, expected, golden_,
-                        di.hasDest ? pregValue[di.pdest] : 0);
-                    stopDiverged();
-                    return;
-                }
-                rix_panic("DIVA mismatch on non-integrated '%s' at pc "
-                          "%llu (pipeline value %llu, expected %llu)",
-                          disassemble(di.inst).c_str(),
-                          (unsigned long long)di.pc,
-                          (unsigned long long)(di.hasDest
-                                                   ? pregValue[di.pdest]
-                                                   : 0),
-                          (unsigned long long)expected.destValue);
+                recordValueMismatch(di, expected);
+                return;
             }
             handleMisintegration(di);
             return;
@@ -323,10 +297,6 @@ Core::retireStage()
             done = true;
             if (cov_)
                 cov_->set(kCovTextFault);
-            return;
-        }
-        if (lockstep_ && !lockstep_->checkShadowStep(expected, golden_)) {
-            stopDiverged();
             return;
         }
         lastProgressCycle = cycle;

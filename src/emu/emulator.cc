@@ -36,9 +36,7 @@ Emulator::reset()
     icount = 0;
     out.clear();
     textLimit_ = Addr(prog->code.size()) * instructionBytes;
-    // The RIX_DECODE escape hatch is re-evaluated at every reset, like
-    // RIX_CHECK: a reusable context honors the current environment.
-    dec_ = emulatorDecodeFromEnv() ? prog->decodedShared() : nullptr;
+    dec_ = prog->decodedShared();
 }
 
 void
@@ -82,7 +80,7 @@ Emulator::restore(const Checkpoint &c)
         mem.clear();
         mem.importPages(c.pages);
         textLimit_ = Addr(prog->code.size()) * instructionBytes;
-        dec_ = emulatorDecodeFromEnv() ? prog->decodedShared() : nullptr;
+        dec_ = prog->decodedShared();
         fault_ = EmuFault{};
     }
     for (unsigned r = 0; r < numLogRegs; ++r)
@@ -117,19 +115,11 @@ Emulator::raiseTextFault(InstAddr at, Addr addr)
 
 // ---------------------------------------------------------------------
 // Preview/commit: the DIVA split. preview() computes one step's
-// effects, commit() applies them; both run on the decoded form by
-// default, with the legacy trait-deriving preview kept under
-// RIX_DECODE=0. The two previews are bit-identical field for field.
+// effects from the decoded form, commit() applies them.
 // ---------------------------------------------------------------------
 
 StepResult
 Emulator::preview() const
-{
-    return dec_ ? previewDecoded() : previewLegacy();
-}
-
-StepResult
-Emulator::previewDecoded() const
 {
     StepResult res;
     res.pc = pcReg;
@@ -201,84 +191,6 @@ Emulator::previewDecoded() const
 
     if (res.wroteReg)
         res.destReg = d.inst.rc;
-    res.nextPc = next;
-    return res;
-}
-
-StepResult
-Emulator::previewLegacy() const
-{
-    StepResult res;
-    res.pc = pcReg;
-    if (isHalted) {
-        res.halted = true;
-        return res;
-    }
-    if (fault_.faulted)
-        return res;
-
-    const Instruction inst = prog->fetch(pcReg);
-    res.inst = inst;
-    InstAddr next = pcReg + 1;
-
-    const u64 a = reg(inst.src1());
-    const u64 b = reg(inst.src2());
-
-    switch (inst.cls()) {
-      case InstClass::SimpleInt:
-      case InstClass::ComplexInt:
-      case InstClass::FloatOp:
-        res.destValue = aluCompute(inst, a, b);
-        res.wroteReg = inst.writesReg();
-        break;
-      case InstClass::Load: {
-        const Addr addr = a + u64(s64(inst.imm));
-        res.isMemAccess = true;
-        res.memAddr = addr;
-        u64 v = mem.read(addr, inst.accessSize());
-        if (inst.op == Opcode::LDL)
-            v = u64(s64(s32(u32(v))));
-        res.destValue = v;
-        res.wroteReg = inst.writesReg();
-        break;
-      }
-      case InstClass::Store: {
-        const Addr addr = a + u64(s64(inst.imm));
-        res.isMemAccess = true;
-        res.memAddr = addr;
-        res.destValue = b; // the stored data
-        break;
-      }
-      case InstClass::Branch:
-        if (branchTaken(inst, a))
-            next = InstAddr(u32(inst.imm));
-        break;
-      case InstClass::Jump:
-        next = InstAddr(u32(inst.imm));
-        break;
-      case InstClass::Call:
-        res.destValue = pcReg + 1;
-        res.wroteReg = inst.writesReg();
-        next = InstAddr(u32(inst.imm));
-        break;
-      case InstClass::IndirectJump:
-      case InstClass::Return:
-        next = InstAddr(a);
-        break;
-      case InstClass::Syscall:
-        res.destValue = 0;
-        res.wroteReg = inst.writesReg();
-        break;
-      case InstClass::Nop:
-        break;
-      case InstClass::Halt:
-        res.halted = true;
-        next = pcReg;
-        break;
-    }
-
-    if (res.wroteReg)
-        res.destReg = inst.rc;
     res.nextPc = next;
     return res;
 }
@@ -581,14 +493,11 @@ Emulator::runDecoded(u64 limit)
 u64
 Emulator::run(u64 max_steps, const CancelToken *cancel)
 {
-    if (!dec_)
-        return runLegacy(max_steps, cancel);
-
     const u64 start = icount;
     while (!isHalted && !fault_.faulted && icount - start < max_steps) {
-        // Same documented cancel-poll bound as the legacy loop: the
-        // (clock-reading) poll runs at most once per 4096 executed
-        // instructions, between block batches.
+        // The documented cancel-poll bound: the (clock-reading) poll
+        // runs at most once per 4096 executed instructions, between
+        // block batches.
         if (cancel && cancel->poll() != CancelReason::None)
             break;
         u64 chunk = max_steps - (icount - start);
@@ -596,22 +505,6 @@ Emulator::run(u64 max_steps, const CancelToken *cancel)
             chunk = 4096;
         if (runDecoded(chunk) == 0)
             break;
-    }
-    return icount - start;
-}
-
-u64
-Emulator::runLegacy(u64 max_steps, const CancelToken *cancel)
-{
-    const u64 start = icount;
-    while (!isHalted && !fault_.faulted && icount - start < max_steps) {
-        // ~4096-step poll granularity: functional stepping is orders
-        // of magnitude faster than detailed cycles, so the deadline
-        // check stays off the per-instruction path.
-        if (cancel && ((icount - start) & 4095) == 0 &&
-            cancel->poll() != CancelReason::None)
-            break;
-        step();
     }
     return icount - start;
 }

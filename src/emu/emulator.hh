@@ -5,22 +5,20 @@
  * Executes a Program architecturally, one instruction per step. Three
  * consumers:
  *   1. standalone golden-model runs (tests, workload validation),
- *   2. the DIVA checker, which steps the emulator in lockstep with
+ *   2. the DIVA checker, which steps the emulator along with
  *      retirement and compares every result the out-of-order core
  *      produced (mis-integration detection),
  *   3. examples that want architectural traces.
  *
- * Execution core: by default every path runs on the program's
- * pre-decoded form (isa/decoded.hh) — step()/preview() read
- * pre-resolved operands instead of re-deriving traits, and run()
- * executes whole straight-line basic blocks through a dense
- * handler-indexed dispatch (computed goto under GCC/Clang, a switch
- * elsewhere), checking halt/fault/budget only at block boundaries and
- * polling the cancel token at the documented <= 4096-step granularity.
- * RIX_DECODE=0 selects the legacy decode-per-step loop (kept verbatim
- * for one release as the escape hatch and as the differential
- * reference); both produce bit-identical StepResult streams and
- * architectural state.
+ * Execution core: every path runs on the program's pre-decoded form
+ * (isa/decoded.hh) — step()/preview() read pre-resolved operands
+ * instead of re-deriving traits, and run() executes whole
+ * straight-line basic blocks through a dense handler-indexed dispatch
+ * (computed goto under GCC/Clang, a switch elsewhere), checking
+ * halt/fault/budget only at block boundaries and polling the cancel
+ * token at the documented <= 4096-step granularity. tests/test_decoded.cc
+ * checks both step() and run() against a decode-per-step reference
+ * interpreter (tests/reference_interp.hh).
  *
  * Stores that land in the program image (the immutable text segment,
  * byte addresses below codeSize * instructionBytes) raise a structured
@@ -139,17 +137,7 @@ class Emulator
 
     const Program &program() const { return *prog; }
 
-    /** True when this emulator runs on the pre-decoded form (tests). */
-    bool usesDecoded() const { return dec_ != nullptr; }
-
   private:
-    // ---- legacy decode-per-step path (RIX_DECODE=0; also the
-    //      differential reference the decoded path is tested against) ----
-    StepResult previewLegacy() const;
-    u64 runLegacy(u64 max_steps, const CancelToken *cancel);
-
-    // ---- pre-decoded path ----
-    StepResult previewDecoded() const;
     /** Execute up to @p limit instructions block-at-a-time; stops at
      *  HALT or fault. Updates pc/icount; returns instructions run. */
     u64 runDecoded(u64 limit);
@@ -163,7 +151,7 @@ class Emulator
 
     const Program *prog; // never null; rebindable via reset(Program)
     // Keeps the decoded form alive independently of the Program's own
-    // cache (null on the RIX_DECODE=0 legacy path).
+    // cache.
     std::shared_ptr<const DecodedProgram> dec_;
     Memory mem;
     // Slot [numLogRegs] is the decoded dispatch's write sink (see

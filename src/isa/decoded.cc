@@ -1,8 +1,5 @@
 #include "isa/decoded.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "assembler/program.hh"
 #include "base/bitutil.hh"
 #include "base/log.hh"
@@ -161,19 +158,6 @@ DecodedProgram::nopSentinel()
 {
     static const DecodedInst nop = decodeInst(makeNop());
     return nop;
-}
-
-bool
-emulatorDecodeFromEnv()
-{
-    const char *v = getenv("RIX_DECODE");
-    if (!v)
-        return true;
-    if (strcmp(v, "0") == 0)
-        return false;
-    if (strcmp(v, "1") == 0)
-        return true;
-    rix_fatal("RIX_DECODE must be 0 or 1 (got '%s')", v);
 }
 
 u64

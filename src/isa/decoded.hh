@@ -159,14 +159,6 @@ class DecodedProgram
     Addr textLimit_ = 0;
 };
 
-/**
- * The RIX_DECODE environment knob: the escape hatch selecting the
- * legacy decode-per-step emulator loop for one release. Unset or "1"
- * selects the pre-decoded core (the default), "0" the legacy loop;
- * anything else is fatal (same strictness as RIX_CHECK).
- */
-bool emulatorDecodeFromEnv();
-
 // ---------------------------------------------------------------------
 // Opcode semantics: defined exactly once, as X-macro tables.
 //
@@ -175,7 +167,7 @@ bool emulatorDecodeFromEnv();
 //   sa, sb   their signed views,
 //   imm      the signed immediate.
 // Expanded by aluCompute() (detailed pipeline, integration oracle,
-// legacy emulator loop) and by the emulator's per-opcode dispatch
+// DIVA preview) and by the emulator's per-opcode dispatch
 // handlers. RIX_BRANCH_SEMANTICS entries are (OPCODE, taken-predicate)
 // over sa.
 // ---------------------------------------------------------------------
@@ -204,7 +196,8 @@ fixDiv(s64 sa, s64 sb)
         return 0;
     if (sa == INT64_MIN && sb == -1)
         return u64(sa);
-    return u64((sa << 8) / sb);
+    // Shift as unsigned: a left shift of a negative value is undefined.
+    return u64(s64(u64(sa) << 8) / sb);
 }
 
 } // namespace detail

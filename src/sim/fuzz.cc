@@ -59,11 +59,9 @@ selectPanelPoints(const ScenarioSpec &spec, const std::string &panel_name,
     for (const ScenarioConfig &cfg : spec.configs) {
         if (!only_config.empty() && cfg.label != only_config)
             continue;
-        ScenarioConfig pt = cfg;
-        pt.params.check.lockstep = true;
-        requireValidCoreParams(pt.params,
-                               "fuzz panel config '" + pt.label + "'");
-        points.push_back(std::move(pt));
+        requireValidCoreParams(cfg.params,
+                               "fuzz panel config '" + cfg.label + "'");
+        points.push_back(cfg);
     }
     if (points.empty()) {
         std::string labels;
@@ -121,8 +119,6 @@ applyFailureClass(const DivergenceReport &r, CoverageMap &map)
         map.set(kCovFailValue);
     else if (r.kind == "pc-stream")
         map.set(kCovFailPcStream);
-    else if (r.kind == "shadow")
-        map.set(kCovFailShadow);
     else if (r.kind == "stuck")
         map.set(r.reason.compare(0, 8, "watchdog") == 0
                     ? kCovFailStuckWatchdog

@@ -4,8 +4,8 @@
  *
  * Runs N seeded random programs (src/workload/randprog.hh) times a
  * panel of core-parameter points (expanded through the scenario grid
- * machinery) with retire-time lockstep checking forced on, in parallel
- * on the sweep thread pool. Any divergence is shrunk by a
+ * machinery), in parallel on the sweep thread pool, each checked at
+ * retirement by the core's DIVA oracle. Any divergence is shrunk by a
  * delta-debugging minimizer — instruction ranges are neutralized to
  * NOPs (code addresses never shift, so branch targets stay valid) and
  * the failure re-checked — and written out as a replayable reproducer:
@@ -39,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "cpu/lockstep.hh"
+#include "cpu/divergence.hh"
 #include "sim/corpus.hh"
 #include "sim/scenario.hh"
 #include "trace/coverage.hh"
@@ -170,8 +170,7 @@ struct FuzzResult
 /**
  * Expand the configuration panel: @p panel_path through the scenario
  * parser (empty: the built-in panel), optionally filtered to
- * @p only_config, with check.lockstep forced on and every point
- * validated. Fatal on an empty selection, naming the valid labels.
+ * @p only_config, with every point validated. Fatal on an empty selection, naming the valid labels.
  */
 std::vector<ScenarioConfig> fuzzPanel(const std::string &panel_path,
                                       const std::string &only_config);
@@ -179,7 +178,7 @@ std::vector<ScenarioConfig> fuzzPanel(const std::string &panel_path,
 /**
  * The selection step of fuzzPanel(), split out for testability:
  * filter @p spec's configs to @p only_config (empty selects all) and
- * force lockstep on. Fatal when the panel declares no configs at all
+ * validate each. Fatal when the panel declares no configs at all
  * (naming @p panel_name) and when the filter matches nothing (naming
  * the valid labels).
  */

@@ -151,14 +151,6 @@ applyIntegKey(IntegrationParams &p, const std::string &field,
 }
 
 std::string
-applyCheckKey(CheckParams &p, const std::string &field, const JsonValue &v)
-{
-    if (field == "lockstep")
-        return coerceBool(v, &p.lockstep);
-    return "unknown check field";
-}
-
-std::string
 applyBpredKey(BranchPredictorParams &p, const std::string &field,
               const JsonValue &v)
 {
@@ -261,8 +253,6 @@ applyCoreParamOverride(CoreParams &p, const std::string &key,
             err = applyBpredKey(p.bpred, field, v);
         else if (group == "mem")
             err = applyMemKey(p.mem, field, v);
-        else if (group == "check")
-            err = applyCheckKey(p.check, field, v);
         else
             return "unknown parameter group '" + group + "'";
         return err.empty() ? "" : "'" + key + "': " + err;

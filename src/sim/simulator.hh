@@ -32,10 +32,11 @@ SimReport collectReport(Core &core, const std::string &workload);
 
 /**
  * Fatal — printing the full divergence report, prefixed with @p what —
- * when @p core stopped on a lockstep divergence. Every driver that
- * runs a core to completion and reports its statistics must call this
- * (or inspect Core::divergence() itself, as the fuzz driver does)
- * before trusting the report: a diverged core stopped mid-program.
+ * when @p core stopped on a DIVA divergence. A divergence never
+ * panics, so every driver that calls Core::run directly and reports
+ * its statistics must call this (or inspect Core::divergence() itself,
+ * as the fuzz driver does) before trusting the report: a diverged core
+ * stopped mid-program.
  */
 void requireNoDivergence(const Core &core, const std::string &what);
 

@@ -193,7 +193,7 @@ namespace
 /**
  * Translate how the core stopped into either a JobFault (contained
  * path) or the historical fatal (ctl.fault null). Divergence keeps its
- * full lockstep report; stuck keeps the watchdog's diagnosis; a fired
+ * full DIVA report; stuck keeps the watchdog's diagnosis; a fired
  * deadline is a timeout; an external cancel means the job was asked to
  * stop (shutdown) and is reported skipped.
  */

@@ -107,7 +107,7 @@ struct SimJob
 /**
  * A job's outcome: structured status instead of process death. `report`
  * is meaningful only when ok(); on failure `error` carries a one-line
- * diagnostic and — for divergences — `divergence` the full lockstep
+ * diagnostic and — for divergences — `divergence` the full DIVA
  * report. `attempts` counts executions including retries (1 = first
  * try succeeded or failed permanently).
  */
@@ -126,7 +126,7 @@ struct SimJobResult
 /**
  * A contained failure reported by SimContext::run/runInterval instead
  * of rix_fatal: what went wrong, as a status plus a one-line message
- * (plus the lockstep report for divergences).
+ * (plus the DIVA divergence report for divergences).
  */
 struct JobFault
 {

@@ -22,7 +22,7 @@
  *    integration rates and the like, without per-event hot-path cost.
  *
  * A Core carries a nullable CoverageMap pointer with the same
- * zero-overhead discipline as the tracer and the lockstep checker:
+ * zero-overhead discipline as the tracer:
  * when detached the only hot-path cost is one pointer test at the tap
  * sites, and attaching a map never changes simulated state — cycles,
  * retired counts and every CoreStats field are bit-identical with
@@ -88,7 +88,8 @@ enum CovEvent : unsigned
     // Failure classes (set by the fuzz driver from the run outcome).
     kCovFailValue = 59,
     kCovFailPcStream = 60,
-    kCovFailShadow = 61,
+    // Bit 61 is unused: renumbering the bits after it would
+    // invalidate journaled corpora and failure fingerprints.
     kCovFailStuckWatchdog = 62,
     kCovFailStuckTextFault = 63,
 

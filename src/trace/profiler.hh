@@ -41,7 +41,7 @@ enum class HostPhase : unsigned
 {
     Decode,            // Program -> DecodedProgram build
     CheckpointBuild,   // Emulator::snapshot
-    CheckpointRestore, // Emulator::restore (golden, lockstep, ff seed)
+    CheckpointRestore, // Emulator::restore (golden, ff seed)
     FastForward,       // functional emulation up to a checkpoint icount
     DetailedSim,       // Core::run (warmup + measure)
     StoreJournal,      // result-store append + commit

@@ -32,8 +32,7 @@
  *    producer status, misintegration flag, squash cause) for tooling.
  *
  * Zero-overhead when off: the Core holds a null sink pointer and pays
- * one pointer test per retired instruction — the same discipline as
- * the lockstep checker. Tracing never touches simulated state; cycles,
+ * one pointer test per retired instruction. Tracing never touches simulated state; cycles,
  * retired counts and every other CoreStats field are bit-identical
  * with tracing on or off (enforced by tests/test_trace.cc and the CI
  * zero-overhead guard).

@@ -72,7 +72,6 @@ generateRandomProgram(u64 seed, const RandProgConfig &cfg)
 
     const LogReg regs[] = {1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 22, 23};
     auto regFrom = [&](Rng &r) { return regs[r.below(std::size(regs))]; };
-    auto reg = [&]() { return regFrom(rng); };
 
     b.br("main");
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * The pre-decoded execution core (isa/decoded.hh + the Emulator fast
- * path), tested differentially against the legacy decode-per-step loop
- * (RIX_DECODE=0), which is kept for exactly this purpose:
+ * path), tested differentially against the decode-per-step reference
+ * interpreter in tests/reference_interp.hh:
  *
  *  - decode-vs-raw equivalence for every opcode over varied operand
  *    shapes (rc = r31, aliased sources, negative immediates);
@@ -14,42 +14,22 @@
  *  - DecodedProgram structural invariants (block lengths, NOP
  *    sentinel, byte accounting, cache copy/invalidations semantics);
  *  - the immutable-text guard: a store landing in the program image
- *    raises a structured EmuFault (identically on both paths) and is
- *    contained by the detailed core as a stuck stop, not a panic;
- *  - RIX_DECODE strict parsing (unset/1 -> decoded, 0 -> legacy,
- *    anything else fatal), mirroring RIX_CHECK.
+ *    raises a structured EmuFault (identically in the reference) and
+ *    is contained by the detailed core as a stuck stop, not a panic.
  */
 
-#include <cstdlib>
 #include <gtest/gtest.h>
 
 #include "cpu/core.hh"
 #include "cpu/params.hh"
 #include "emu/emulator.hh"
+#include "tests/reference_interp.hh"
 #include "workload/randprog.hh"
 
 using namespace rix;
 
 namespace
 {
-
-/** Construct an emulator pinned to the legacy decode-per-step path. */
-Emulator
-makeLegacy(const Program &p)
-{
-    setenv("RIX_DECODE", "0", 1);
-    Emulator e(p);
-    unsetenv("RIX_DECODE");
-    return e;
-}
-
-/** Construct an emulator pinned to the decoded path (default). */
-Emulator
-makeDecoded(const Program &p)
-{
-    unsetenv("RIX_DECODE");
-    return Emulator(p);
-}
 
 void
 expectSameStep(const StepResult &a, const StepResult &b, const char *what)
@@ -65,8 +45,9 @@ expectSameStep(const StepResult &a, const StepResult &b, const char *what)
     EXPECT_EQ(a.halted, b.halted) << what;
 }
 
+template <class A, class B>
 void
-expectSameArchState(const Emulator &a, const Emulator &b, const char *what)
+expectSameArchState(const A &a, const B &b, const char *what)
 {
     EXPECT_EQ(a.pc(), b.pc()) << what;
     EXPECT_EQ(a.halted(), b.halted()) << what;
@@ -90,8 +71,8 @@ fromCode(std::vector<Instruction> code)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Every opcode, several operand shapes: one decoded and one legacy
-// emulator execute the same single instruction from the same seeded
+// Every opcode, several operand shapes: the decoded emulator and the
+// reference interpreter execute the same single instruction from the same seeded
 // register state; the StepResult and the entire architectural state
 // must match bit for bit.
 // ---------------------------------------------------------------------
@@ -118,36 +99,36 @@ TEST(DecodedDifferential, EveryOpcodeEveryOperandShape)
 
         for (const Instruction &inst : shapes) {
             const Program p = fromCode({inst});
-            Emulator dec = makeDecoded(p);
-            Emulator leg = makeLegacy(p);
-            ASSERT_TRUE(dec.usesDecoded());
-            ASSERT_FALSE(leg.usesDecoded());
+            Emulator dec(p);
+            ReferenceInterp ref(p);
 
             // Seed sources so results are nontrivial; r1 points into
             // the data segment so memory ops hit a writable address
             // (never the text segment).
-            for (Emulator *e : {&dec, &leg}) {
-                e->setReg(1, p.dataBase + 64);
-                e->setReg(2, 7);
-                e->setReg(3, 0xdeadbeef);
-                e->setReg(4, u64(-3));
-            }
+            const auto seed = [&p](auto &e) {
+                e.setReg(1, p.dataBase + 64);
+                e.setReg(2, 7);
+                e.setReg(3, 0xdeadbeef);
+                e.setReg(4, u64(-3));
+            };
+            seed(dec);
+            seed(ref);
 
             const StepResult a = dec.step();
-            const StepResult b = leg.step();
+            const StepResult b = ref.step();
             const std::string what =
                 disassemble(inst) + " (shape ra=" +
                 std::to_string(inst.ra) + " rc=" +
                 std::to_string(inst.rc) + ")";
             expectSameStep(a, b, what.c_str());
-            expectSameArchState(dec, leg, what.c_str());
+            expectSameArchState(dec, ref, what.c_str());
         }
     }
 }
 
 // ---------------------------------------------------------------------
 // Random-program corpora: the full StepResult stream (and final state)
-// of the decoded step path equals the legacy reference, and the
+// of the decoded step path equals the reference interpreter, and the
 // block-batched run() path lands on the same architectural state.
 // ---------------------------------------------------------------------
 
@@ -162,32 +143,32 @@ TEST(DecodedDifferential, RandomProgramStepStreams)
     for (size_t c = 0; c < shapes.size(); ++c) {
         for (u64 seed = 1; seed <= 4; ++seed) {
             const Program p = generateRandomProgram(seed * 17, shapes[c]);
-            Emulator dec = makeDecoded(p);
-            Emulator leg = makeLegacy(p);
+            Emulator dec(p);
+            ReferenceInterp ref(p);
 
             for (u64 i = 0; i < 200'000 && !dec.halted(); ++i) {
                 const StepResult a = dec.step();
-                const StepResult b = leg.step();
+                const StepResult b = ref.step();
                 expectSameStep(a, b, p.name.c_str());
                 if (a.halted)
                     break;
             }
-            expectSameArchState(dec, leg, p.name.c_str());
+            expectSameArchState(dec, ref, p.name.c_str());
         }
     }
 }
 
-TEST(DecodedDifferential, RunMatchesLegacyRun)
+TEST(DecodedDifferential, RunMatchesReferenceRun)
 {
     for (u64 seed = 1; seed <= 6; ++seed) {
         const Program p = generateRandomProgram(seed);
-        Emulator dec = makeDecoded(p);
-        Emulator leg = makeLegacy(p);
+        Emulator dec(p);
+        ReferenceInterp ref(p);
         const u64 na = dec.run();
-        const u64 nb = leg.run();
+        const u64 nb = ref.run();
         EXPECT_EQ(na, nb) << "seed " << seed;
         EXPECT_TRUE(dec.halted());
-        expectSameArchState(dec, leg, "run()");
+        expectSameArchState(dec, ref, "run()");
     }
 }
 
@@ -206,19 +187,19 @@ TEST(DecodedBlocks, BranchIntoMidBlock)
     code.push_back(makeHalt());
     const Program p = fromCode(std::move(code));
 
-    Emulator dec = makeDecoded(p);
-    Emulator leg = makeLegacy(p);
+    Emulator dec(p);
+    ReferenceInterp ref(p);
     dec.run();
-    leg.run();
+    ref.run();
     EXPECT_TRUE(dec.halted());
     EXPECT_EQ(dec.reg(1), u64(30)); // slots 3,4,5 only
-    expectSameArchState(dec, leg, "branch into mid-block");
+    expectSameArchState(dec, ref, "branch into mid-block");
 }
 
 TEST(DecodedBlocks, BudgetExpiryInsideBlock)
 {
     // A single long straight-line block; every possible budget cut
-    // point must leave pc/icount/regs exactly where the legacy
+    // point must leave pc/icount/regs exactly where the reference
     // per-step loop leaves them.
     std::vector<Instruction> code;
     for (int i = 0; i < 12; ++i)
@@ -227,15 +208,15 @@ TEST(DecodedBlocks, BudgetExpiryInsideBlock)
     const Program p = fromCode(std::move(code));
 
     for (u64 budget = 0; budget <= 14; ++budget) {
-        Emulator dec = makeDecoded(p);
-        Emulator leg = makeLegacy(p);
-        EXPECT_EQ(dec.run(budget), leg.run(budget)) << "budget " << budget;
-        expectSameArchState(dec, leg, "budget cut");
+        Emulator dec(p);
+        ReferenceInterp ref(p);
+        EXPECT_EQ(dec.run(budget), ref.run(budget)) << "budget " << budget;
+        expectSameArchState(dec, ref, "budget cut");
         // Resuming after the cut also converges.
         dec.run();
-        leg.run();
+        ref.run();
         EXPECT_TRUE(dec.halted());
-        expectSameArchState(dec, leg, "after resume");
+        expectSameArchState(dec, ref, "after resume");
     }
 }
 
@@ -245,22 +226,22 @@ TEST(DecodedBlocks, HaltMidProgramAndWildernessNops)
     const Program p = fromCode({makeRI(Opcode::ADDQI, 1, 1, 5),
                                 makeHalt(),
                                 makeRI(Opcode::ADDQI, 1, 1, 99)});
-    Emulator dec = makeDecoded(p);
-    Emulator leg = makeLegacy(p);
+    Emulator dec(p);
+    ReferenceInterp ref(p);
     dec.run();
-    leg.run();
+    ref.run();
     EXPECT_TRUE(dec.halted());
     EXPECT_EQ(dec.reg(1), u64(5));
-    expectSameArchState(dec, leg, "halt mid-program");
+    expectSameArchState(dec, ref, "halt mid-program");
 
     // Running off the end: out-of-range pc executes as NOP forever;
-    // the decoded path batches the wilderness, the legacy path steps
+    // the decoded path batches the wilderness, the reference steps
     // it, and both land on the same pc/icount.
     const Program off = fromCode({makeRI(Opcode::ADDQI, 1, 1, 1)});
-    Emulator dec2 = makeDecoded(off);
-    Emulator leg2 = makeLegacy(off);
-    EXPECT_EQ(dec2.run(10'000), leg2.run(10'000));
-    expectSameArchState(dec2, leg2, "nop wilderness");
+    Emulator dec2(off);
+    ReferenceInterp ref2(off);
+    EXPECT_EQ(dec2.run(10'000), ref2.run(10'000));
+    expectSameArchState(dec2, ref2, "nop wilderness");
     EXPECT_FALSE(dec2.halted());
 }
 
@@ -271,37 +252,37 @@ TEST(DecodedBlocks, PreFiredCancelStopsBeforeAnyStep)
     token.arm(0);
     token.cancel();
 
-    Emulator dec = makeDecoded(p);
-    Emulator leg = makeLegacy(p);
+    Emulator dec(p);
+    ReferenceInterp ref(p);
     EXPECT_EQ(dec.run(1'000'000, &token), u64(0));
-    EXPECT_EQ(leg.run(1'000'000, &token), u64(0));
-    expectSameArchState(dec, leg, "pre-fired cancel");
+    EXPECT_EQ(ref.run(1'000'000, &token), u64(0));
+    expectSameArchState(dec, ref, "pre-fired cancel");
 }
 
 TEST(DecodedBlocks, CheckpointRestoreMidBlock)
 {
     const Program p = generateRandomProgram(11);
-    Emulator dec = makeDecoded(p);
+    Emulator dec(p);
     // 137 is deliberately not a block multiple of anything: the
     // snapshot lands mid-block more often than not.
     dec.run(137);
     ASSERT_FALSE(dec.halted());
     const Checkpoint c = dec.snapshot();
 
-    // Restore into a fresh decoded emulator and into a legacy one;
+    // Restore into a fresh decoded emulator and into the reference;
     // both must finish identically to the original.
-    Emulator resumedDec = makeDecoded(p);
+    Emulator resumedDec(p);
     resumedDec.restore(c);
-    Emulator resumedLeg = makeLegacy(p);
-    resumedLeg.restore(c);
-    expectSameArchState(resumedDec, resumedLeg, "restored state");
+    ReferenceInterp resumedRef(p);
+    resumedRef.restore(c);
+    expectSameArchState(resumedDec, resumedRef, "restored state");
 
     dec.run();
     resumedDec.run();
-    resumedLeg.run();
+    resumedRef.run();
     EXPECT_TRUE(dec.halted());
     expectSameArchState(dec, resumedDec, "resume decoded");
-    expectSameArchState(dec, resumedLeg, "resume legacy");
+    expectSameArchState(dec, resumedRef, "resume reference");
 }
 
 // ---------------------------------------------------------------------
@@ -323,8 +304,9 @@ TEST(DecodedProgramForm, BlockLengthInvariants)
                 ASSERT_FALSE(d.at(i + k).endsBlock());
             // The last slot terminates the block unless the block runs
             // into the end of the code segment.
-            if (i + len < d.size())
+            if (i + len < d.size()) {
                 ASSERT_TRUE(d.at(i + len - 1).endsBlock());
+            }
         }
     }
 }
@@ -395,7 +377,7 @@ TEST(DecodedProgramForm, CacheSharingAndInvalidation)
 // The immutable-text guard.
 // ---------------------------------------------------------------------
 
-TEST(TextFault, StoreIntoImageFaultsIdenticallyOnBothPaths)
+TEST(TextFault, StoreIntoImageFaultsLikeTheReference)
 {
     // r1 = 0 -> STQ writes byte address 8, inside the text segment
     // (4 instructions * 8 bytes). The store must not happen, pc and
@@ -408,35 +390,38 @@ TEST(TextFault, StoreIntoImageFaultsIdenticallyOnBothPaths)
     };
     const Program p = fromCode(code);
 
-    for (const bool decoded : {true, false}) {
-        Emulator e = decoded ? makeDecoded(p) : makeLegacy(p);
-        const u64 n = e.run();
-        EXPECT_EQ(n, u64(1)) << "only the ADDQI retires";
-        EXPECT_TRUE(e.faulted());
-        EXPECT_FALSE(e.halted());
-        EXPECT_EQ(e.pc(), InstAddr(1));
-        EXPECT_EQ(e.fault().pc, InstAddr(1));
-        EXPECT_EQ(e.fault().addr, Addr(8));
-        EXPECT_NE(e.fault().describe().find("text"), std::string::npos);
-        EXPECT_EQ(e.reg(3), u64(0));
-        EXPECT_EQ(e.memory().read(8, 8), u64(0)) << "store suppressed";
+    Emulator e(p);
+    ReferenceInterp ref(p);
+    const u64 n = e.run();
+    ref.run();
+    EXPECT_EQ(n, u64(1)) << "only the ADDQI retires";
+    EXPECT_TRUE(e.faulted());
+    EXPECT_FALSE(e.halted());
+    EXPECT_EQ(e.pc(), InstAddr(1));
+    EXPECT_EQ(e.fault().pc, InstAddr(1));
+    EXPECT_EQ(e.fault().addr, Addr(8));
+    EXPECT_NE(e.fault().describe().find("text"), std::string::npos);
+    EXPECT_EQ(e.reg(3), u64(0));
+    EXPECT_EQ(e.memory().read(8, 8), u64(0)) << "store suppressed";
+    expectSameArchState(e, ref, "text fault");
+    EXPECT_EQ(e.fault().pc, ref.fault().pc);
+    EXPECT_EQ(e.fault().addr, ref.fault().addr);
 
-        // Frozen: step() and run() refuse to make progress.
-        const StepResult s = e.step();
-        EXPECT_EQ(s.pc, InstAddr(1));
-        EXPECT_EQ(e.run(100), u64(0));
-        EXPECT_EQ(e.instsExecuted(), u64(1));
+    // Frozen: step() and run() refuse to make progress.
+    const StepResult s = e.step();
+    EXPECT_EQ(s.pc, InstAddr(1));
+    EXPECT_EQ(e.run(100), u64(0));
+    EXPECT_EQ(e.instsExecuted(), u64(1));
 
-        // reset() clears the fault.
-        e.reset();
-        EXPECT_FALSE(e.faulted());
-    }
+    // reset() clears the fault.
+    e.reset();
+    EXPECT_FALSE(e.faulted());
 }
 
 TEST(TextFault, MidBlockStoreCountsPartialBlock)
 {
     // Straight-line block whose third slot stores into text: exactly
-    // the first two slots execute, on both paths.
+    // the first two slots execute, as in the reference.
     const std::vector<Instruction> code = {
         makeRI(Opcode::ADDQI, 1, 1, 1),
         makeRI(Opcode::ADDQI, 1, 1, 1),
@@ -445,13 +430,13 @@ TEST(TextFault, MidBlockStoreCountsPartialBlock)
         makeHalt(),
     };
     const Program p = fromCode(code);
-    Emulator dec = makeDecoded(p);
-    Emulator leg = makeLegacy(p);
+    Emulator dec(p);
+    ReferenceInterp ref(p);
     EXPECT_EQ(dec.run(), u64(2));
-    EXPECT_EQ(leg.run(), u64(2));
+    EXPECT_EQ(ref.run(), u64(2));
     EXPECT_TRUE(dec.faulted());
     EXPECT_EQ(dec.fault().pc, InstAddr(2));
-    expectSameArchState(dec, leg, "mid-block text fault");
+    expectSameArchState(dec, ref, "mid-block text fault");
 }
 
 TEST(TextFault, StoreJustPastTextSucceeds)
@@ -463,7 +448,7 @@ TEST(TextFault, StoreJustPastTextSucceeds)
         makeHalt(),
     };
     const Program p = fromCode(code);
-    Emulator e = makeDecoded(p);
+    Emulator e(p);
     e.run();
     EXPECT_TRUE(e.halted());
     EXPECT_FALSE(e.faulted());
@@ -487,27 +472,4 @@ TEST(TextFault, CoreContainsFaultAsStuckStop)
     EXPECT_FALSE(core.halted());
     EXPECT_NE(core.stuckReason().find("text"), std::string::npos);
     EXPECT_TRUE(core.golden().faulted());
-}
-
-// ---------------------------------------------------------------------
-// RIX_DECODE parsing, strict like RIX_CHECK.
-// ---------------------------------------------------------------------
-
-TEST(DecodeEnvKnob, StrictValues)
-{
-    unsetenv("RIX_DECODE");
-    EXPECT_TRUE(emulatorDecodeFromEnv()); // default: on
-    setenv("RIX_DECODE", "1", 1);
-    EXPECT_TRUE(emulatorDecodeFromEnv());
-    setenv("RIX_DECODE", "0", 1);
-    EXPECT_FALSE(emulatorDecodeFromEnv());
-    unsetenv("RIX_DECODE");
-}
-
-TEST(DecodeEnvKnobDeath, RejectsGarbage)
-{
-    setenv("RIX_DECODE", "fast", 1);
-    EXPECT_EXIT({ emulatorDecodeFromEnv(); },
-                ::testing::ExitedWithCode(1), "RIX_DECODE must be 0 or 1");
-    unsetenv("RIX_DECODE");
 }

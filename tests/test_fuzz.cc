@@ -16,13 +16,12 @@
 
 using namespace rix;
 
-TEST(FuzzPanel, BuiltinPanelHasFourLockstepPoints)
+TEST(FuzzPanel, BuiltinPanelHasFourPoints)
 {
     const std::vector<ScenarioConfig> pts = fuzzPanel("", "");
     ASSERT_EQ(pts.size(), 4u);
     bool sawBaseOff = false, sawTinyReverse = false;
     for (const ScenarioConfig &pt : pts) {
-        EXPECT_TRUE(pt.params.check.lockstep) << pt.label;
         sawBaseOff = sawBaseOff || pt.label == "base;integ.mode=off";
         sawTinyReverse =
             sawTinyReverse || pt.label == "tiny;integ.mode=reverse";
@@ -63,10 +62,8 @@ TEST(FuzzPanel, CustomPanelFileExpandsViaGrid)
     const std::vector<ScenarioConfig> pts = fuzzPanel(path, "");
     ASSERT_EQ(pts.size(), 3u);
     EXPECT_EQ(pts[0].label, "p;integ.it_assoc=1");
-    for (const ScenarioConfig &pt : pts) {
+    for (const ScenarioConfig &pt : pts)
         EXPECT_EQ(pt.params.rsSize, 20u);
-        EXPECT_TRUE(pt.params.check.lockstep);
-    }
     remove(path.c_str());
 }
 

@@ -1,15 +1,14 @@
 /**
  * @file
- * Retire-time lockstep checker: enablement (params key, RIX_CHECK env),
- * clean runs, composition with checkpoint resume and reused contexts,
- * and the divergence-report rendering. The checker's ability to
- * actually *fail* is proven by tests/test_fault_injection.cc in the
+ * The retire-time DIVA divergence report, which is unconditional: clean
+ * runs report nothing, the report composes with checkpoint resume and
+ * reused contexts, the removed opt-in key is rejected, and the report
+ * renders everything it carries. The check's ability to actually
+ * *fail* is proven by tests/test_fault_injection.cc in the
  * -DRIX_FAULT_INJECT=ON build.
  */
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "base/json.hh"
 #include "cpu/core.hh"
@@ -24,104 +23,37 @@ namespace
 {
 
 CoreParams
-lockstepParams()
+reverseParams()
 {
-    CoreParams p = integrationParams(IntegrationMode::Reverse);
-    p.check.lockstep = true;
-    return p;
+    return integrationParams(IntegrationMode::Reverse);
 }
 
 } // namespace
 
-TEST(Lockstep, OffByDefault)
-{
-    const Program p = generateRandomProgram(3);
-    Core core(p, integrationParams(IntegrationMode::Reverse));
-    EXPECT_FALSE(core.lockstepEnabled());
-    EXPECT_EQ(core.shadowEmulator(), nullptr);
-    core.run(10'000'000, 50'000'000);
-    EXPECT_TRUE(core.halted());
-    EXPECT_EQ(core.divergence(), nullptr);
-}
-
-TEST(Lockstep, CleanRunShadowTracksGolden)
-{
-    const Program p = generateRandomProgram(7);
-    Core core(p, lockstepParams());
-    ASSERT_TRUE(core.lockstepEnabled());
-    core.run(10'000'000, 50'000'000);
-    ASSERT_TRUE(core.halted());
-    EXPECT_EQ(core.divergence(), nullptr);
-
-    // The shadow marched through exactly the committed stream.
-    const Emulator *shadow = core.shadowEmulator();
-    ASSERT_NE(shadow, nullptr);
-    EXPECT_TRUE(shadow->halted());
-    EXPECT_EQ(shadow->instsExecuted(), core.golden().instsExecuted());
-    EXPECT_EQ(shadow->pc(), core.golden().pc());
-    for (unsigned r = 0; r < numLogRegs; ++r)
-        EXPECT_EQ(shadow->reg(LogReg(r)), core.golden().reg(LogReg(r)))
-            << "r" << r;
-    EXPECT_EQ(shadow->output(), core.golden().output());
-    EXPECT_TRUE(shadow->memory().contentEquals(core.golden().memory()));
-}
-
-TEST(Lockstep, VerifyAgainstEmulatorCleanWithChecking)
+TEST(DivaReport, CleanRunReportsNothing)
 {
     const Program p = generateRandomProgram(9);
-    EXPECT_EQ(verifyAgainstEmulator(p, lockstepParams()), "");
-}
-
-TEST(Lockstep, EnvKnobForcesOnAndResetReevaluates)
-{
-    const Program p = generateRandomProgram(4);
-    const CoreParams plain = integrationParams(IntegrationMode::Reverse);
-
-    setenv("RIX_CHECK", "1", 1);
-    Core core(p, plain);
-    EXPECT_TRUE(core.lockstepEnabled());
+    Core core(p, reverseParams());
     core.run(10'000'000, 50'000'000);
     EXPECT_TRUE(core.halted());
     EXPECT_EQ(core.divergence(), nullptr);
-
-    // RIX_CHECK=0 and unset both disable again at the next reset.
-    setenv("RIX_CHECK", "0", 1);
-    core.reset(p, plain);
-    EXPECT_FALSE(core.lockstepEnabled());
-    unsetenv("RIX_CHECK");
-    core.reset(p, plain);
-    EXPECT_FALSE(core.lockstepEnabled());
+    EXPECT_EQ(verifyAgainstEmulator(p, reverseParams()), "");
 }
 
-TEST(LockstepDeath, EnvKnobRejectsGarbage)
+TEST(DivaReport, RemovedOptInKeyIsRejected)
 {
-    const Program p = generateRandomProgram(5);
-    const CoreParams plain = integrationParams(IntegrationMode::Reverse);
-    setenv("RIX_CHECK", "yes", 1);
-    EXPECT_EXIT({ Core core(p, plain); }, ::testing::ExitedWithCode(1),
-                "RIX_CHECK must be 0 or 1");
-    unsetenv("RIX_CHECK");
-}
-
-TEST(Lockstep, ScenarioKeyParses)
-{
+    // Checking is no longer optional, so its old spec key is unknown.
     std::string err;
     const JsonValue on = JsonValue::parse("true", &err);
     ASSERT_EQ(err, "");
     CoreParams p;
-    EXPECT_FALSE(p.check.lockstep);
-    EXPECT_EQ(applyCoreParamOverride(p, "check.lockstep", on), "");
-    EXPECT_TRUE(p.check.lockstep);
-
-    const JsonValue num = JsonValue::parse("1", &err);
-    EXPECT_NE(applyCoreParamOverride(p, "check.lockstep", num), "");
-    EXPECT_NE(applyCoreParamOverride(p, "check.nonsense", on), "");
+    EXPECT_NE(applyCoreParamOverride(p, "check.lockstep", on), "");
 }
 
-TEST(Lockstep, ComposesWithCheckpointResume)
+TEST(DivaReport, ComposesWithCheckpointResume)
 {
     const Program p = generateRandomProgram(11);
-    const CoreParams params = lockstepParams();
+    const CoreParams params = reverseParams();
 
     Core full(p, params);
     full.run(10'000'000, 50'000'000);
@@ -137,11 +69,7 @@ TEST(Lockstep, ComposesWithCheckpointResume)
 
         Core core(p, params);
         core.reset(p, params, ckpt);
-        ASSERT_TRUE(core.lockstepEnabled());
-        // The shadow is seeded from the same checkpoint, not replayed
-        // from the program start.
-        ASSERT_NE(core.shadowEmulator(), nullptr);
-        EXPECT_EQ(core.shadowEmulator()->instsExecuted(), k);
+        EXPECT_EQ(core.golden().instsExecuted(), k);
 
         core.run(10'000'000, 50'000'000);
         ASSERT_TRUE(core.halted()) << "k " << k;
@@ -151,67 +79,47 @@ TEST(Lockstep, ComposesWithCheckpointResume)
             EXPECT_EQ(core.golden().reg(LogReg(r)),
                       full.golden().reg(LogReg(r)))
                 << "k " << k << " r" << r;
-        EXPECT_EQ(core.shadowEmulator()->instsExecuted(),
-                  core.golden().instsExecuted());
+        EXPECT_EQ(core.golden().instsExecuted(), total);
     }
 }
 
-TEST(Lockstep, ComposesWithReusedContexts)
+TEST(DivaReport, ComposesWithReusedContexts)
 {
     const Program a = generateRandomProgram(21);
     const Program b = generateRandomProgram(22);
-    const CoreParams checked = lockstepParams();
-    const CoreParams plain = integrationParams(IntegrationMode::General);
+    const CoreParams reverse = reverseParams();
+    const CoreParams general = integrationParams(IntegrationMode::General);
 
     // Fresh-core references.
-    Core refA(a, checked);
+    Core refA(a, reverse);
     refA.run(10'000'000, 50'000'000);
     ASSERT_TRUE(refA.halted());
-    Core refB(b, plain);
+    Core refB(b, general);
     refB.run(10'000'000, 50'000'000);
     ASSERT_TRUE(refB.halted());
 
-    // One context cycled through program/param/enablement changes.
-    Core core(a, checked);
+    // One context cycled through program/param changes: every reset
+    // starts with a clean report.
+    Core core(a, reverse);
     core.run(10'000'000, 50'000'000);
     ASSERT_TRUE(core.halted());
     EXPECT_EQ(core.divergence(), nullptr);
     EXPECT_EQ(core.stats().cycles, refA.stats().cycles);
 
-    core.reset(b, plain);
-    EXPECT_FALSE(core.lockstepEnabled());
+    core.reset(b, general);
     core.run(10'000'000, 50'000'000);
     ASSERT_TRUE(core.halted());
     EXPECT_EQ(core.stats().cycles, refB.stats().cycles);
 
-    core.reset(a, checked);
-    ASSERT_TRUE(core.lockstepEnabled());
+    core.reset(a, reverse);
+    EXPECT_EQ(core.divergence(), nullptr);
     core.run(10'000'000, 50'000'000);
     ASSERT_TRUE(core.halted());
     EXPECT_EQ(core.divergence(), nullptr);
     EXPECT_EQ(core.stats().cycles, refA.stats().cycles);
 }
 
-TEST(Lockstep, TimingUnaffectedByChecking)
-{
-    // The shadow is an observer: cycle-level results are bit-identical
-    // with checking on and off.
-    const Program p = generateRandomProgram(31);
-    const CoreParams plain = integrationParams(IntegrationMode::Reverse);
-
-    Core off(p, plain);
-    off.run(10'000'000, 50'000'000);
-    Core on(p, lockstepParams());
-    on.run(10'000'000, 50'000'000);
-    ASSERT_TRUE(off.halted());
-    ASSERT_TRUE(on.halted());
-    EXPECT_EQ(off.stats().cycles, on.stats().cycles);
-    EXPECT_EQ(off.stats().retired, on.stats().retired);
-    EXPECT_EQ(off.stats().misintegrations, on.stats().misintegrations);
-    EXPECT_EQ(off.stats().squashedInsts, on.stats().squashedInsts);
-}
-
-TEST(Lockstep, ReportFormatCarriesEverything)
+TEST(DivaReport, ReportFormatCarriesEverything)
 {
     DivergenceReport r;
     r.diverged = true;
@@ -221,13 +129,11 @@ TEST(Lockstep, ReportFormatCarriesEverything)
     r.disasm = "addq r3, r1, r2";
     r.reason = "pipeline produced destination value 1, architecturally 2";
     r.goldenState = "  golden-regs\n";
-    r.shadowState = "  shadow-regs\n";
     const std::string text = r.format();
-    EXPECT_NE(text.find("value"), std::string::npos);
+    EXPECT_EQ(text.rfind("DIVA divergence (value)", 0), 0u) << text;
     EXPECT_NE(text.find("1234"), std::string::npos);
     EXPECT_NE(text.find("addq r3, r1, r2"), std::string::npos);
     EXPECT_NE(text.find("golden-regs"), std::string::npos);
-    EXPECT_NE(text.find("shadow-regs"), std::string::npos);
 
     DivergenceReport clean;
     EXPECT_EQ(clean.format(), "no divergence");

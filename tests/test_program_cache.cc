@@ -59,7 +59,7 @@ TEST(ProgramCache, ReferencesStayValidAcrossInserts)
     const std::string name = first.name;
     const size_t code = first.codeSize();
     // Populate many more slots; the first reference must not move.
-    for (const std::string &w : {"mcf", "parser", "twolf", "vortex"})
+    for (const char *w : {"mcf", "parser", "twolf", "vortex"})
         cache.get(w, 1);
     EXPECT_EQ(first.name, name);
     EXPECT_EQ(first.codeSize(), code);

@@ -343,8 +343,9 @@ TEST_F(ResumeTest, Kill9MidSweepResumeFinishesBitIdentical)
     int wstatus = 0;
     ASSERT_EQ(waitpid(child, &wstatus, 0), child);
     ASSERT_TRUE(WIFSIGNALED(wstatus) || WIFEXITED(wstatus));
-    if (WIFEXITED(wstatus))
+    if (WIFEXITED(wstatus)) {
         ASSERT_EQ(WEXITSTATUS(wstatus), 0);
+    }
 
     std::string err;
     ResultStore::Recovery rec;

@@ -372,8 +372,9 @@ TEST(Serve, RunsAfterShutdownAreRefused)
     // never silent job loss.
     if (client.sendLine("{\"op\": \"run\", \"workload\": \"gzip\"}")) {
         std::string resp;
-        if (client.recvLine(&resp))
+        if (client.recvLine(&resp)) {
             EXPECT_EQ(statusOf(resp), "shutting-down");
+        }
     }
     server.waitShutdown();
     EXPECT_EQ(server.stats().admitted.load(), 0u);
