@@ -224,14 +224,15 @@ cmdRun(int argc, char **argv)
     }
     // Fault-contained by default for the row renders: K failing jobs
     // leave the other N-K rows intact, each row carrying its status.
-    // --strict restores fail-fast; the figure renders always fail
-    // fast (runScenarioFile). RIX_TIMEOUT_MS / RIX_RETRIES configure
-    // the watchdog and retry budget (strictly validated).
+    // --strict dies once every job finished, naming the first failure;
+    // the figure renders always run strict (runScenario).
+    // RIX_TIMEOUT_MS / RIX_RETRIES configure the watchdog and retry
+    // budget (strictly validated).
     const rix::FaultPolicy policy = rix::FaultPolicy::fromEnv(strict);
     const int rc =
         storePath
             ? rix::runScenarioFileStored(specPath, storePath, out, policy)
-            : rix::runScenarioFile(specPath, out, &policy);
+            : rix::runScenarioFile(specPath, out, policy);
     if (out != stdout)
         fclose(out);
     return rc;

@@ -753,18 +753,6 @@ attachObservabilityJob(const ScenarioSpec &spec, SimJob &job,
         job.metrics = std::make_shared<MetricsRecorder>(spec.metrics.every);
 }
 
-/** Arm every job of a fresh (non-resumed) sweep. */
-void
-attachObservability(const ScenarioSpec &spec, std::vector<SimJob> &jobs)
-{
-    if (spec.profile)
-        hostProfiler().setEnabled(true);
-    if (!spec.trace.enabled && !spec.metrics.enabled)
-        return;
-    for (size_t i = 0; i < jobs.size(); ++i)
-        attachObservabilityJob(spec, jobs[i], i, jobs.size());
-}
-
 /** Write one job's metrics time series (JSON lines, suffixed like the
  *  trace outputs), labeled scenario/workload/config. */
 void
@@ -785,94 +773,108 @@ writeMetricsOutputJob(const ScenarioSpec &spec, const SimJob &job,
         rix_fatal("scenario '%s': %s", spec.name.c_str(), err.c_str());
 }
 
-void
-writeMetricsOutputs(const ScenarioSpec &spec,
-                    const std::vector<SimJob> &jobs)
+/**
+ * Build, before the sweep, the checkpoints every remaining interval job
+ * restores from — per workload in *ascending* order, one functional
+ * pass each fast-forwarding from the previous checkpoint — plus every
+ * workload's whole-run instruction count (the merge denominator).
+ * Dispatching the interval jobs cold instead would let a parallel pool
+ * race all K builders past bestReadySeed and fast-forward K times from
+ * instruction 0. Workloads are independent, so this parallelizes
+ * across them on the RIX_JOBS knob. A workload with no job left to run
+ * (a resume) builds no checkpoint; its total is deterministic, so the
+ * resumed merge stays bit-identical. Fatal on failure even when jobs
+ * are contained: the checkpoints are shared infrastructure that every
+ * interval of the workload needs, not a per-job simulation.
+ */
+std::vector<u64>
+prepareSampledWorkloads(const ScenarioSpec &spec,
+                        const std::vector<size_t> &remaining_idx)
 {
-    if (!spec.metrics.enabled)
-        return;
-    for (size_t i = 0; i < jobs.size(); ++i)
-        writeMetricsOutputJob(spec, jobs[i], i, jobs.size());
-}
+    const size_t nWorkloads = spec.workloads.size();
+    const size_t jobsPerWorkload =
+        spec.configs.size() * spec.sampling.intervals.size();
+    std::vector<char> needed(nWorkloads, 0);
+    for (size_t i : remaining_idx)
+        needed[i / jobsPerWorkload] = 1;
 
-} // namespace
-
-ScenarioResults
-runScenario(const ScenarioSpec &spec)
-{
-    std::vector<SimJob> jobs = expandScenarioJobs(spec);
-    attachObservability(spec, jobs);
-
-    ScenarioResults res;
-    res.numConfigs = spec.configs.size();
-    if (spec.sampling.empty()) {
-        res.jobs = SweepRunner().run(jobs);
-        writeMetricsOutputs(spec, jobs);
-        return res;
-    }
-    const size_t numIntervals = spec.sampling.intervals.size();
-
-    // Build every workload's checkpoints in *ascending* order plus its
-    // whole-run instruction count before the sweep — one functional
-    // pass per workload, each fast-forward seeding from the previous
-    // checkpoint. Dispatching the interval jobs cold instead would let
-    // a parallel pool race all K builders past bestReadySeed and
-    // fast-forward K times from instruction 0. Workloads are
-    // independent, so this phase parallelizes across them on the same
-    // RIX_JOBS knob.
-    std::vector<u64> totals(spec.workloads.size());
-    const auto prepareWorkload = [&](size_t w) {
-        for (const SamplingInterval &iv : spec.sampling.intervals)
-            globalCheckpointCache().get(spec.workloads[w], spec.scale,
-                                        iv.checkpointAt);
+    std::vector<u64> totals(nWorkloads);
+    const auto prepare = [&](size_t w) {
+        if (needed[w])
+            for (const SamplingInterval &iv : spec.sampling.intervals)
+                globalCheckpointCache().get(spec.workloads[w], spec.scale,
+                                            iv.checkpointAt);
         totals[w] = globalCheckpointCache().totalInsts(
             spec.workloads[w], spec.scale, spec.maxRetired);
     };
-    const size_t nWorkloads = spec.workloads.size();
     const unsigned nThreads =
         unsigned(std::min<size_t>(jobsFromEnv(), nWorkloads));
-    if (nThreads <= 1 || nWorkloads <= 1) {
+    if (nThreads <= 1) {
         for (size_t w = 0; w < nWorkloads; ++w)
-            prepareWorkload(w);
-    } else {
-        ThreadPool pool(nThreads);
-        std::vector<std::future<void>> pendings;
-        pendings.reserve(nWorkloads);
-        for (size_t w = 0; w < nWorkloads; ++w)
-            pendings.push_back(pool.submit([&prepareWorkload, w]() {
-                prepareWorkload(w);
-            }));
-        for (std::future<void> &f : pendings)
-            f.get();
+            prepare(w);
+        return totals;
     }
+    ThreadPool pool(nThreads);
+    std::vector<std::future<void>> pendings;
+    pendings.reserve(nWorkloads);
+    for (size_t w = 0; w < nWorkloads; ++w)
+        pendings.push_back(pool.submit([&prepare, w]() { prepare(w); }));
+    for (std::future<void> &f : pendings)
+        f.get();
+    return totals;
+}
 
-    res.intervalJobs = SweepRunner().run(jobs);
-    writeMetricsOutputs(spec, jobs);
-
-    // Merge every point's intervals back into one row.
+/**
+ * Merge each sampled point's intervals into one row. A point with any
+ * failed interval fails as a whole (an extrapolation with a hole in it
+ * is not an estimate, it is a lie) but leaves its neighbours intact; a
+ * point whose plan measured nothing — a plan tuned for one scale can
+ * land past another run's end — is invalid rather than silently
+ * extrapolated from zero.
+ */
+void
+mergeSampledPoints(const ScenarioSpec &spec, const std::vector<u64> &totals,
+                   ScenarioResults &res)
+{
+    const size_t numIntervals = spec.sampling.intervals.size();
     const size_t points = spec.workloads.size() * spec.configs.size();
     res.jobs.resize(points);
     res.sampled.resize(points);
     for (size_t w = 0; w < spec.workloads.size(); ++w) {
-        // A plan tuned for one scale can land past another run's end;
-        // measuring *nothing* would silently extrapolate from zero.
         bool warned = false;
         for (size_t c = 0; c < spec.configs.size(); ++c) {
             const size_t point = w * spec.configs.size() + c;
             const SimJobResult *ivs =
                 &res.intervalJobs[point * numIntervals];
+            const SimJobResult *bad = nullptr;
+            unsigned attempts = 0;
+            for (size_t k = 0; k < numIntervals; ++k) {
+                if (!ivs[k].ok() && !bad)
+                    bad = &ivs[k];
+                attempts = std::max(attempts, ivs[k].attempts);
+            }
+            if (bad) {
+                res.jobs[point].status = bad->status;
+                res.jobs[point].error = bad->error;
+                res.jobs[point].divergence = bad->divergence;
+                res.jobs[point].attempts = bad->attempts;
+                continue;
+            }
             res.sampled[point] = mergeIntervals(spec.sampling, ivs,
                                                 totals[w],
                                                 &res.jobs[point]);
-            if (res.sampled[point].measuredInsts == 0)
-                rix_fatal("scenario '%s': the sampling plan measured "
-                          "nothing for workload '%s' — the run ends at "
-                          "instruction %llu, before the first interval "
-                          "(start %llu)",
-                          spec.name.c_str(), spec.workloads[w].c_str(),
-                          (unsigned long long)totals[w],
-                          (unsigned long long)
-                              spec.sampling.intervals[0].checkpointAt);
+            res.jobs[point].attempts = attempts;
+            if (res.sampled[point].measuredInsts == 0) {
+                res.jobs[point].status = JobStatus::Invalid;
+                res.jobs[point].error = strfmt(
+                    "sampling plan measured nothing: the run ends at "
+                    "instruction %llu, before the first interval "
+                    "(start %llu)",
+                    (unsigned long long)totals[w],
+                    (unsigned long long)
+                        spec.sampling.intervals[0].checkpointAt);
+                continue;
+            }
             for (size_t k = 0; !warned && k < numIntervals; ++k) {
                 if (ivs[k].report.core.retired == 0) {
                     rix_warn("scenario '%s': workload '%s' ends at "
@@ -889,14 +891,9 @@ runScenario(const ScenarioSpec &spec)
             }
         }
     }
-    return res;
 }
 
-ScenarioResults
-runScenario(const ScenarioSpec &spec, const FaultPolicy &policy)
-{
-    return runScenario(spec, policy, nullptr);
-}
+} // namespace
 
 ScenarioResults
 runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
@@ -962,36 +959,6 @@ runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
             attachObservabilityJob(spec, remaining[k], remainingIdx[k],
                                    jobs.size());
 
-    ScenarioResults res;
-    res.contained = true;
-    res.numConfigs = spec.configs.size();
-
-    // Checkpoint construction stays fail-fast even under containment:
-    // it is shared infrastructure (one functional pass per workload),
-    // not a per-job simulation — a workload whose checkpoints cannot
-    // be built poisons every point that needs them. On resume, only
-    // workloads with jobs left to run need their checkpoints; the
-    // whole-run totals (merge denominators) are always needed and are
-    // deterministic, so recomputing them reproduces the original
-    // merge bit-identically.
-    std::vector<u64> totals(spec.workloads.size());
-    if (!spec.sampling.empty()) {
-        const size_t jobsPerWorkload =
-            spec.configs.size() * spec.sampling.intervals.size();
-        for (size_t w = 0; w < spec.workloads.size(); ++w) {
-            bool needed = false;
-            for (size_t i : remainingIdx)
-                needed = needed || i / jobsPerWorkload == w;
-            if (needed)
-                for (const SamplingInterval &iv : spec.sampling.intervals)
-                    globalCheckpointCache().get(spec.workloads[w],
-                                                spec.scale,
-                                                iv.checkpointAt);
-            totals[w] = globalCheckpointCache().totalInsts(
-                spec.workloads[w], spec.scale, spec.maxRetired);
-        }
-    }
-
     // Journal each job as it retires from the pool — the commit point
     // (write + fsync) happens before the job counts as done, so a
     // kill -9 loses at most the in-flight record, never a completed
@@ -1013,8 +980,16 @@ runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
         };
     }
 
+    std::vector<u64> totals;
+    if (!spec.sampling.empty())
+        totals = prepareSampledWorkloads(spec, remainingIdx);
+
+    // The strict check runs once, on the merged points below: a sampled
+    // point can fail after the merge although every interval ran.
+    FaultPolicy sweepPolicy = policy;
+    sweepPolicy.strict = false;
     std::vector<SimJobResult> fresh =
-        SweepRunner().run(remaining, policy, onRetire);
+        SweepRunner().run(remaining, sweepPolicy, onRetire);
     for (size_t k = 0; k < remainingIdx.size(); ++k)
         all[remainingIdx[k]] = std::move(fresh[k]);
     if (spec.metrics.enabled)
@@ -1022,54 +997,22 @@ runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
             writeMetricsOutputJob(spec, remaining[k], remainingIdx[k],
                                   jobs.size());
 
+    ScenarioResults res;
+    res.numConfigs = spec.configs.size();
     if (spec.sampling.empty()) {
         res.jobs = std::move(all);
-        return res;
+    } else {
+        res.intervalJobs = std::move(all);
+        mergeSampledPoints(spec, totals, res);
     }
-    const size_t numIntervals = spec.sampling.intervals.size();
-    res.intervalJobs = std::move(all);
 
-    // Merge each point's intervals; a point with any failed interval
-    // fails as a whole (an extrapolation with a hole in it is not an
-    // estimate, it is a lie) but leaves its neighbours intact.
-    const size_t points = spec.workloads.size() * spec.configs.size();
-    res.jobs.resize(points);
-    res.sampled.resize(points);
-    for (size_t w = 0; w < spec.workloads.size(); ++w) {
-        for (size_t c = 0; c < spec.configs.size(); ++c) {
-            const size_t point = w * spec.configs.size() + c;
-            const SimJobResult *ivs =
-                &res.intervalJobs[point * numIntervals];
-            const SimJobResult *bad = nullptr;
-            unsigned attempts = 0;
-            for (size_t k = 0; k < numIntervals; ++k) {
-                if (!ivs[k].ok() && !bad)
-                    bad = &ivs[k];
-                attempts = std::max(attempts, ivs[k].attempts);
-            }
-            if (bad) {
-                res.jobs[point].status = bad->status;
-                res.jobs[point].error = bad->error;
-                res.jobs[point].divergence = bad->divergence;
-                res.jobs[point].attempts = bad->attempts;
-                continue;
-            }
-            res.sampled[point] = mergeIntervals(spec.sampling, ivs,
-                                                totals[w],
-                                                &res.jobs[point]);
-            res.jobs[point].attempts = attempts;
-            if (res.sampled[point].measuredInsts == 0) {
-                res.jobs[point].status = JobStatus::Invalid;
-                res.jobs[point].error = strfmt(
-                    "sampling plan measured nothing: the run ends at "
-                    "instruction %llu, before the first interval "
-                    "(start %llu)",
-                    (unsigned long long)totals[w],
-                    (unsigned long long)
-                        spec.sampling.intervals[0].checkpointAt);
-            }
-        }
-    }
+    if (policy.strict || !spec.rowRender())
+        requireJobsOk(res.jobs, [&spec](size_t p) {
+            return strfmt("point %zu (%s, config '%s')", p,
+                          spec.workloads[p / spec.configs.size()].c_str(),
+                          spec.configs[p % spec.configs.size()]
+                              .label.c_str());
+        });
     return res;
 }
 
@@ -1088,16 +1031,13 @@ renderRows(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out,
                 row.label("scenario", spec.name);
             row.label("workload", spec.workloads[w]);
             row.label("config", spec.configs[c].label);
-            if (res.contained) {
-                // Fault-contained runs carry the per-point outcome:
-                // failed points keep their row (zeroed simulation
-                // columns) so N-K healthy results are never hidden by
-                // K failures.
-                const SimJobResult &j = res.jobs[w * res.numConfigs + c];
-                row.label("status", jobStatusName(j.status));
-                row.label("error", j.error);
-                row.stats.set("attempts", double(j.attempts));
-            }
+            // The per-point outcome: failed points keep their row
+            // (zeroed simulation columns) so N-K healthy results are
+            // never hidden by K failures.
+            const SimJobResult &j = res.jobs[w * res.numConfigs + c];
+            row.label("status", jobStatusName(j.status));
+            row.label("error", j.error);
+            row.stats.set("attempts", double(j.attempts));
             exportReport(res.report(w, c), row.stats);
             row.stats.set("scale", double(spec.scale));
             row.stats.set("wall_s", res.wallSeconds(w, c));
@@ -1169,21 +1109,9 @@ readScenarioFile(const std::string &path)
 }
 
 int
-runScenarioFile(const std::string &path, FILE *out, const FaultPolicy *policy)
+renderScenarioBuffered(const ScenarioSpec &spec, const ScenarioResults &res,
+                       FILE *out)
 {
-    const ScenarioSpec spec = parseScenario(readScenarioFile(path));
-
-    // The figure renderers cannot represent a failed point (they print
-    // the paper's tables), so they always run fail-fast; containment
-    // applies to the generic row renders only.
-    const bool rowRender = spec.render == "jsonl" || spec.render == "csv";
-    const ScenarioResults res = policy && rowRender
-                                    ? runScenario(spec, *policy)
-                                    : runScenario(spec);
-
-    // Render into memory first and write in one piece: a consumer of
-    // stdout never sees a partial JSON/CSV document, whatever happens
-    // mid-render.
     char *buf = nullptr;
     size_t bufLen = 0;
     FILE *mem = open_memstream(&buf, &bufLen);
@@ -1195,8 +1123,14 @@ runScenarioFile(const std::string &path, FILE *out, const FaultPolicy *policy)
     fwrite(buf, 1, bufLen, dst);
     fflush(dst);
     free(buf);
+    return res.failures() ? 3 : 0;
+}
 
-    return res.contained && res.failures() ? 3 : 0;
+int
+runScenarioFile(const std::string &path, FILE *out, const FaultPolicy &policy)
+{
+    const ScenarioSpec spec = parseScenario(readScenarioFile(path));
+    return renderScenarioBuffered(spec, runScenario(spec, policy), out);
 }
 
 std::string

@@ -102,6 +102,10 @@ struct ScenarioSpec
 
     /** Index of the config labeled @p label, or -1. */
     int configIndex(const std::string &label) const;
+
+    /** A generic row render (jsonl/csv), which can mark a failed point;
+     *  the figure renders cannot. */
+    bool rowRender() const { return render == "jsonl" || render == "csv"; }
 };
 
 /**
@@ -130,12 +134,8 @@ struct ScenarioResults
     size_t numConfigs = 0;
     std::vector<SimJobResult> jobs; // workload-major; merged if sampled
 
-    /** True when the run was fault-contained: rows carry the
-     *  status/error/attempts columns and failed points have zeroed
-     *  reports instead of having killed the process. */
-    bool contained = false;
-
-    /** Number of points with status != ok (contained runs). */
+    /** Number of points with status != ok (a failed point keeps its
+     *  status and error with a zeroed report). */
     size_t
     failures() const
     {
@@ -168,39 +168,28 @@ struct ScenarioResults
 
 /**
  * Validate every config (fatal with the config label on the first
- * invalid one) and execute the whole scenario across the RIX_JOBS
- * sweep pool. Historical fail-fast semantics: the first failing job
- * kills the process.
- */
-ScenarioResults runScenario(const ScenarioSpec &spec);
-
-/**
- * Fault-contained scenario execution: every (workload, config) point
- * gets a structured status; K failing points leave the other N-K rows
- * intact (a sampled point fails as a whole when any of its intervals
- * does). Only the generic row renders may consume a contained result —
- * the figure renderers have no way to mark holes, so the CLI forces
- * the fail-fast path for them. policy.strict dies after all jobs
- * finish, naming the first failure.
- */
-ScenarioResults runScenario(const ScenarioSpec &spec,
-                            const FaultPolicy &policy);
-
-/**
- * Durable fault-contained execution: like runScenario(spec, policy),
- * but bound to a crash-recoverable result store. Every job already
- * journaled in @p store (matched by expanded job index, workload
- * verified) is *not* re-run — its stored result is used verbatim — and
- * every job that completes successfully is appended to the store, with
- * an fsync commit point, as it retires from the pool. An empty store
- * makes this a journaled fresh run; a partial store makes it a resume
- * whose merged results (sampled rollups included) are bit-identical in
- * every simulated field to an uninterrupted run. The store's meta must
- * match the spec's expansion (job count; checked fatal).
+ * invalid one) and execute the whole scenario on the RIX_JOBS sweep
+ * pool. Every (workload, config) point gets a structured status; K
+ * failing points leave the other N-K intact (a sampled point fails as
+ * a whole when any of its intervals does, and is invalid when its plan
+ * measured nothing). policy.strict — forced for figure renders, which
+ * cannot mark a failed point — dies once every point is merged, naming
+ * the first failure (requireJobsOk).
+ *
+ * With a result @p store, every job already journaled there (matched
+ * by expanded job index, workload verified) is *not* re-run — its
+ * stored result is used verbatim — and every job that completes
+ * successfully is appended, with an fsync commit point, as it retires
+ * from the pool. An empty store makes this a journaled fresh run; a
+ * partial store makes it a resume whose merged results (sampled
+ * rollups included) are bit-identical in every simulated field to an
+ * uninterrupted run. The store's meta must match the spec's expansion
+ * (job count; checked fatal).
  */
 ScenarioResults runScenario(const ScenarioSpec &spec,
-                            const FaultPolicy &policy,
-                            ResultStore *store);
+                            const FaultPolicy &policy =
+                                FaultPolicy{/*strict=*/true},
+                            ResultStore *store = nullptr);
 
 /**
  * Expand the spec's (workload x config [x sampling interval]) cross
@@ -219,25 +208,27 @@ const std::string &scenarioJobConfigLabel(const ScenarioSpec &spec,
 void renderScenario(const ScenarioSpec &spec, const ScenarioResults &res,
                     FILE *out);
 
+/**
+ * renderScenario into memory, then written onto @p out (nullptr:
+ * stdout) in one piece, so a failure mid-run never leaves a partial
+ * JSON/CSV document — consumers see either the whole render or nothing
+ * plus a one-line stderr diagnostic.
+ * @return process exit code: 0 when every point succeeded, 3 when some
+ *         failed (their rows carry the status).
+ */
+int renderScenarioBuffered(const ScenarioSpec &spec,
+                           const ScenarioResults &res, FILE *out);
+
 /** Slurp a spec file; fatal (naming the path) on open/read errors. */
 std::string readScenarioFile(const std::string &path);
 
 /**
- * Parse, run and render the spec at @p path onto @p out (nullptr:
- * stdout). The rendered document is buffered in memory and written in
- * one piece, so a failure mid-run never leaves a partial JSON/CSV
- * document on @p out — consumers see either the whole render or
- * nothing plus a one-line stderr diagnostic.
- *
- * @p policy null: historical fail-fast semantics. Non-null: fault
- * contained for the row renders (the figure renders always fail fast,
- * see runScenario).
- * @return process exit code: 0 when every job succeeded, 3 when the
- *         sweep completed but some points failed (their rows carry
- *         the status); spec problems are fatal.
+ * Parse, run (runScenario under @p policy) and render the spec at
+ * @p path onto @p out (renderScenarioBuffered). Spec problems are
+ * fatal. @return as renderScenarioBuffered.
  */
 int runScenarioFile(const std::string &path, FILE *out = nullptr,
-                    const FaultPolicy *policy = nullptr);
+                    const FaultPolicy &policy = FaultPolicy{/*strict=*/true});
 
 /**
  * Path of a committed scenario spec by name: $RIX_SCENARIO_DIR takes

@@ -47,14 +47,12 @@ namespace
 using Clock = std::chrono::steady_clock;
 
 /**
- * One execution attempt. @p cancel (nullable) is the armed watchdog
- * token; @p graceful routes simulation failures into the result's
- * status instead of letting them become fatal. Exceptions escape only
- * when !graceful (the historical fail-fast sweep).
+ * One execution attempt. @p cancel is the armed watchdog token.
+ * Simulation failures and exceptions land in the result's status.
  */
 SimJobResult
 executeOnce(SimContext &ctx, const SimJob &job, const CancelToken *cancel,
-            bool graceful, unsigned attempt, const JobInputSource &inputs)
+            unsigned attempt, const JobInputSource &inputs)
 {
     SimJobResult res;
     const auto t0 = Clock::now();
@@ -67,9 +65,6 @@ executeOnce(SimContext &ctx, const SimJob &job, const CancelToken *cancel,
             // A hung job: no forward progress, only the watchdog can
             // reap it. Cooperative (polls the token) so the test
             // proves the timeout path without leaking a real thread.
-            if (!cancel)
-                throw std::runtime_error(
-                    "injected hang with no watchdog armed");
             while (cancel->poll() == CancelReason::None)
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
             res.status = cancel->firedReason() == CancelReason::Deadline
@@ -99,7 +94,7 @@ executeOnce(SimContext &ctx, const SimJob &job, const CancelToken *cancel,
             JobFault fault;
             RunControl ctl;
             ctl.cancel = cancel;
-            ctl.fault = graceful ? &fault : nullptr;
+            ctl.fault = &fault;
             ctl.trace = job.trace.get();
             ctl.traceStart = job.traceStart;
             ctl.traceCount = job.traceCount;
@@ -110,34 +105,19 @@ executeOnce(SimContext &ctx, const SimJob &job, const CancelToken *cancel,
                                           job.maxCycles, ctl)
                         : ctx.run(*in.prog, job.params, job.maxRetired,
                                   job.maxCycles, ctl);
-            if (graceful && fault.status != JobStatus::Ok) {
-                res.status = fault.status;
-                res.error = fault.message;
-                res.divergence = fault.divergence;
-            }
+            res.status = fault.status;
+            res.error = fault.message;
+            res.divergence = fault.divergence;
         }
     } catch (const TransientError &e) {
-        if (!graceful)
-            throw;
         res.status = JobStatus::Transient;
         res.error = e.what();
     } catch (const std::exception &e) {
-        if (!graceful)
-            throw;
         res.status = JobStatus::Crash;
         res.error = e.what();
     }
     res.wallSeconds = std::chrono::duration<double>(Clock::now() - t0).count();
     return res;
-}
-
-/** Historical fail-fast execution: exceptions propagate, divergence
- *  and stuck cores are fatal inside SimContext. */
-SimJobResult
-executeJob(SimContext &ctx, const SimJob &job)
-{
-    return executeOnce(ctx, job, nullptr, /*graceful=*/false,
-                       /*attempt=*/1, nullptr);
 }
 
 } // namespace
@@ -174,8 +154,7 @@ runJobContained(SimContext &ctx, const SimJob &job,
     thread_local CancelToken token;
     for (unsigned attempt = 1;; ++attempt) {
         token.arm(policy.timeoutMs);
-        SimJobResult res = executeOnce(ctx, job, &token, /*graceful=*/true,
-                                       attempt, inputs);
+        SimJobResult res = executeOnce(ctx, job, &token, attempt, inputs);
         res.attempts = attempt;
         if (!jobStatusIsTransient(res.status) || attempt > policy.retries)
             return res;
@@ -316,44 +295,7 @@ SweepRunner::SweepRunner(unsigned num_threads)
 std::vector<SimJobResult>
 SweepRunner::run(const std::vector<SimJob> &jobs)
 {
-    std::vector<SimJobResult> results(jobs.size());
-
-    if (nThreads <= 1 || jobs.size() <= 1) {
-        // Serial path: one context, inline on the calling thread.
-        SimContext ctx;
-        for (size_t i = 0; i < jobs.size(); ++i)
-            results[i] = executeJob(ctx, jobs[i]);
-        return results;
-    }
-
-    // One long-lived SimContext per worker thread: thread_local makes
-    // it worker-owned without the pool knowing about simulation types.
-    // The contexts die with the worker threads when the pool joins.
-    ThreadPool pool(unsigned(std::min<size_t>(nThreads, jobs.size())));
-    std::vector<std::future<void>> pendings;
-    pendings.reserve(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        pendings.push_back(pool.submit([&jobs, &results, i]() {
-            thread_local SimContext ctx;
-            results[i] = executeJob(ctx, jobs[i]);
-        }));
-    }
-
-    // Collect in submission order. Let every job finish before
-    // rethrowing a failure so no worker is left writing into a slot
-    // while an exception unwinds the result vector.
-    std::exception_ptr firstError;
-    for (std::future<void> &f : pendings) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!firstError)
-                firstError = std::current_exception();
-        }
-    }
-    if (firstError)
-        std::rethrow_exception(firstError);
-    return results;
+    return run(jobs, FaultPolicy{/*strict=*/true});
 }
 
 std::vector<SimJobResult>
@@ -370,6 +312,10 @@ SweepRunner::run(const std::vector<SimJob> &jobs, const FaultPolicy &policy,
                 on_retire(i, results[i]);
         }
     } else {
+        // One long-lived SimContext per worker thread: thread_local
+        // makes it worker-owned without the pool knowing about
+        // simulation types. The contexts die with the worker threads
+        // when the pool joins.
         ThreadPool pool(unsigned(std::min<size_t>(nThreads, jobs.size())));
         std::vector<std::future<void>> pendings;
         pendings.reserve(jobs.size());
@@ -400,19 +346,30 @@ SweepRunner::run(const std::vector<SimJob> &jobs, const FaultPolicy &policy,
         }
     }
 
-    if (policy.strict) {
-        // Fail-fast semantics restored — but only after every job
-        // finished, so the process never dies mid-sweep with workers
-        // writing into freed result slots.
-        for (size_t i = 0; i < results.size(); ++i) {
-            const SimJobResult &r = results[i];
-            if (!r.ok())
-                rix_fatal("strict: job %zu (%s) failed: %s: %s",
-                          i, jobs[i].workload.c_str(),
-                          jobStatusName(r.status), r.error.c_str());
-        }
-    }
+    if (policy.strict)
+        requireJobsOk(results, [&jobs](size_t i) {
+            return strfmt("job %zu (%s)", i, jobs[i].workload.c_str());
+        });
     return results;
+}
+
+void
+requireJobsOk(const std::vector<SimJobResult> &results,
+              const std::function<std::string(size_t)> &describe)
+{
+    for (size_t i = 0; i < results.size(); ++i) {
+        const SimJobResult &r = results[i];
+        if (r.ok())
+            continue;
+        // A divergence dies with the full DIVA report, like a direct
+        // run (requireNoDivergence); everything else with its one line.
+        const std::string detail =
+            r.status == JobStatus::Divergence
+                ? r.divergence.format()
+                : std::string(jobStatusName(r.status)) + ": " + r.error;
+        rix_fatal("strict: %s failed: %s", describe(i).c_str(),
+                  detail.c_str());
+    }
 }
 
 } // namespace rix

@@ -138,8 +138,8 @@ struct JobFault
 /**
  * Optional per-run control for SimContext: a cancellation token the
  * core polls (timeouts, shutdown) and a fault sink. With a null
- * `fault`, failures are fatal — exactly the historical single-run
- * semantics every existing caller keeps.
+ * `fault`, failures are fatal: DIVA enforcement for direct callers.
+ * The sweep executor (runJobContained) always passes one.
  */
 struct RunControl
 {
@@ -233,6 +233,14 @@ SimJobResult runJobContained(SimContext &ctx, const SimJob &job,
 using SweepRetireHook = std::function<void(size_t job_index,
                                            const SimJobResult &result)>;
 
+/**
+ * FaultPolicy::strict's post-check, applied once every job finished:
+ * fatal naming the first failed result (@p describe(i) names result
+ * i), with the full DIVA report when it diverged.
+ */
+void requireJobsOk(const std::vector<SimJobResult> &results,
+                   const std::function<std::string(size_t)> &describe);
+
 class SweepRunner
 {
   public:
@@ -240,26 +248,24 @@ class SweepRunner
     explicit SweepRunner(unsigned num_threads = 0);
 
     /**
-     * Execute every job and return results in submission order.
-     * Programs are fetched from the global ProgramCache. A job that
-     * throws rethrows here, after all other jobs finished — the
-     * historical fail-fast contract (bench drivers, figure sweeps).
-     */
-    std::vector<SimJobResult> run(const std::vector<SimJob> &jobs);
-
-    /**
-     * Fault-contained execution under @p policy: every job gets a
-     * structured status; K failing jobs leave the other N-K results
-     * intact. Transient failures (timeouts, injected transients) are
-     * retried with exponential backoff up to policy.retries; permanent
-     * ones (divergence, stuck, crash) are not. With policy.strict the
-     * whole sweep is fatal *after* all jobs finish, naming the first
-     * failure — fail-fast restored, but still never a partial result
-     * vector. @p on_retire (nullable) fires once per completed job.
+     * Execute every job under @p policy and return results in
+     * submission order; the only job executor (runJobContained per
+     * job). Every job gets a structured status; K failing jobs leave
+     * the other N-K results intact. Transient failures (timeouts,
+     * injected transients) are retried with exponential backoff up to
+     * policy.retries; permanent ones (divergence, stuck, crash) are
+     * not. With policy.strict the whole sweep is fatal *after* all jobs
+     * finish, naming the first failure (requireJobsOk) — never a
+     * partial result vector. @p on_retire (nullable) fires once per
+     * completed job.
      */
     std::vector<SimJobResult> run(const std::vector<SimJob> &jobs,
                                   const FaultPolicy &policy,
                                   const SweepRetireHook &on_retire = nullptr);
+
+    /** run(jobs, policy) with a strict default FaultPolicy: any failed
+     *  job is fatal once the sweep finishes (bench binaries, rix trace). */
+    std::vector<SimJobResult> run(const std::vector<SimJob> &jobs);
 
     unsigned threads() const { return nThreads; }
 

@@ -1,43 +1,11 @@
 #include "store/sweep_store.hh"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "base/log.hh"
 
 namespace rix
 {
-
-namespace
-{
-
-bool
-rowRender(const ScenarioSpec &spec)
-{
-    return spec.render == "jsonl" || spec.render == "csv";
-}
-
-/** Buffered render + exit code, shared with runScenarioFile: the
- *  consumer sees either the whole document or nothing. */
-int
-renderBuffered(const ScenarioSpec &spec, const ScenarioResults &res,
-               FILE *out)
-{
-    char *buf = nullptr;
-    size_t bufLen = 0;
-    FILE *mem = open_memstream(&buf, &bufLen);
-    if (!mem)
-        rix_fatal("cannot allocate render buffer");
-    renderScenario(spec, res, mem);
-    fclose(mem);
-    FILE *dst = out ? out : stdout;
-    fwrite(buf, 1, bufLen, dst);
-    fflush(dst);
-    free(buf);
-    return res.contained && res.failures() ? 3 : 0;
-}
-
-} // namespace
 
 u64
 scenarioSpecHash(const std::string &spec_text, const ScenarioSpec &spec)
@@ -95,10 +63,10 @@ runScenarioFileStored(const std::string &spec_path,
 
     const std::string text = readScenarioFile(spec_path);
     const ScenarioSpec spec = parseScenario(text);
-    if (!rowRender(spec))
+    if (!spec.rowRender())
         rix_fatal("rix run --store: spec '%s' renders '%s', but a "
                   "journaled run requires a row render (jsonl/csv) — "
-                  "the figure renderers are fail-fast",
+                  "the figure renderers cannot mark a failed point",
                   spec_path.c_str(), spec.render.c_str());
 
     std::string err;
@@ -108,7 +76,7 @@ runScenarioFileStored(const std::string &spec_path,
         rix_fatal("rix run --store: %s", err.c_str());
 
     const ScenarioResults res = runScenario(spec, policy, store.get());
-    return renderBuffered(spec, res, out);
+    return renderScenarioBuffered(spec, res, out);
 }
 
 int
@@ -175,7 +143,7 @@ resumeStoreFile(const std::string &store_path, FILE *out,
             (unsigned long long)rec.droppedBytes);
 
     const ScenarioResults res = runScenario(spec, policy, store.get());
-    return renderBuffered(spec, res, out);
+    return renderScenarioBuffered(spec, res, out);
 }
 
 } // namespace rix

@@ -47,8 +47,9 @@ StoreMeta makeSweepMeta(const std::string &spec_text,
  * *new* store at @p store_path (an existing file is fatal — resuming
  * is `rix resume`'s job), rendering onto @p out (nullptr: stdout).
  * Journaling requires a row render (jsonl/csv): the figure renderers
- * are fail-fast and bypass containment, so a spec rendering a figure
- * is fatal here. @return as runScenarioFile (0 ok, 3 partial).
+ * always run strict, having no way to mark a failed point, so a spec
+ * rendering a figure is fatal here. @return as runScenarioFile (0 ok,
+ * 3 partial).
  */
 int runScenarioFileStored(const std::string &spec_path,
                           const std::string &store_path, FILE *out,

@@ -23,6 +23,7 @@
 #include "sim/fuzz.hh"
 #include "sim/presets.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 
 using namespace rix;
 
@@ -102,6 +103,14 @@ TEST(FaultInjection, RunSimulationExitsWithTheReport)
     EXPECT_EXIT(runSimulation(p, params, 1000, 10'000),
                 ::testing::ExitedWithCode(1),
                 "DIVA divergence \\(value\\) at instruction 2");
+
+    // A sweep runs its jobs contained, then its strict default dies
+    // with the same full report, not just the one-line status.
+    SimJob job;
+    job.workload = "gzip";
+    job.maxRetired = 100'000;
+    EXPECT_EXIT(SweepRunner().run({job}), ::testing::ExitedWithCode(1),
+                "DIVA divergence \\(value\\)");
 }
 
 TEST(FaultInjection, FuzzFindsMinimizesAndWritesReproducer)

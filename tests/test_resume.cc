@@ -46,6 +46,17 @@ constexpr const char *sampledSpec =
     " \"sampling\": {\"fast_forward\": 20000, \"warmup\": 2000,"
     "  \"measure\": 8000, \"repeat\": 2}}";
 
+constexpr const char *sampledTwoSpec =
+    "{\"name\": \"resume_sampled_two\","
+    " \"workloads\": [\"twolf\", \"mcf\"],"
+    " \"scale\": 1, \"render\": \"jsonl\","
+    " \"configs\": [{\"label\": \"base\","
+    "   \"set\": {\"integ.mode\": \"off\"}},"
+    "  {\"label\": \"reverse\","
+    "   \"set\": {\"integ.mode\": \"reverse\"}}],"
+    " \"sampling\": {\"fast_forward\": 20000, \"warmup\": 2000,"
+    "  \"measure\": 8000, \"repeat\": 2}}";
+
 class ResumeTest : public ::testing::Test
 {
   protected:
@@ -94,6 +105,28 @@ expectSimIdentical(const SimJobResult &a, const SimJobResult &b,
         << what << " job " << i;
     EXPECT_EQ(a.report.itlbMisses, b.report.itlbMisses)
         << what << " job " << i;
+}
+
+/** Merged sampled points (rows and rollups), bit for bit. */
+void
+expectMergedIdentical(const ScenarioResults &a, const ScenarioResults &b,
+                      const char *what)
+{
+    ASSERT_EQ(a.jobs.size(), b.jobs.size()) << what;
+    for (size_t i = 0; i < a.jobs.size(); ++i)
+        expectSimIdentical(a.jobs[i], b.jobs[i], what, i);
+    ASSERT_EQ(a.sampled.size(), b.sampled.size()) << what;
+    for (size_t i = 0; i < a.sampled.size(); ++i) {
+        EXPECT_EQ(a.sampled[i].measuredInsts, b.sampled[i].measuredInsts)
+            << what << " point " << i;
+        EXPECT_EQ(a.sampled[i].measuredCycles,
+                  b.sampled[i].measuredCycles)
+            << what << " point " << i;
+        EXPECT_EQ(a.sampled[i].totalInsts, b.sampled[i].totalInsts)
+            << what << " point " << i;
+        EXPECT_EQ(a.sampled[i].exact, b.sampled[i].exact)
+            << what << " point " << i;
+    }
 }
 
 size_t
@@ -259,19 +292,37 @@ TEST_F(ResumeTest, SampledSpecResumesBitIdentical)
     for (size_t i = 0; i < ref.intervalJobs.size(); ++i)
         expectSimIdentical(ref.intervalJobs[i], res.intervalJobs[i],
                            "interval", i);
-    for (size_t i = 0; i < ref.jobs.size(); ++i)
-        expectSimIdentical(ref.jobs[i], res.jobs[i], "merged", i);
-    ASSERT_EQ(res.sampled.size(), ref.sampled.size());
-    for (size_t i = 0; i < ref.sampled.size(); ++i) {
-        EXPECT_EQ(res.sampled[i].measuredInsts,
-                  ref.sampled[i].measuredInsts);
-        EXPECT_EQ(res.sampled[i].measuredCycles,
-                  ref.sampled[i].measuredCycles);
-        EXPECT_EQ(res.sampled[i].totalInsts, ref.sampled[i].totalInsts);
-        EXPECT_EQ(res.sampled[i].exact, ref.sampled[i].exact);
-    }
+    expectMergedIdentical(ref, res, "merged");
     ::remove(full.c_str());
     ::remove(part.c_str());
+
+    // Two workloads, every job of the first already journaled: the
+    // resume prepares checkpoints for the second alone (the parallel
+    // preparation on RIX_JOBS=2) and must merge bit-identically to an
+    // uninterrupted serial run.
+    const ScenarioSpec two = parseScenario(sampledTwoSpec);
+    setenv("RIX_JOBS", "1", 1);
+    const ScenarioResults serial = runScenario(two, policy);
+    setenv("RIX_JOBS", "2", 1);
+    ASSERT_EQ(serial.intervalJobs.size(), 8u); // 2 x 2 configs x 2
+
+    const std::string twoPart = tmpStore("sampled_two");
+    ::remove(twoPart.c_str());
+    auto twoStore = ResultStore::create(
+        twoPart, makeSweepMeta(sampledTwoSpec, two), &err);
+    ASSERT_NE(twoStore, nullptr) << err;
+    for (size_t i = 0; i < 4; ++i) {
+        StoreRecord r;
+        r.jobIndex = i;
+        r.configLabel = scenarioJobConfigLabel(two, i);
+        r.result = serial.intervalJobs[i];
+        ASSERT_EQ(r.result.report.workload, "twolf");
+        ASSERT_EQ(twoStore->append(r), "");
+    }
+    const ScenarioResults twoRes = runScenario(two, policy, twoStore.get());
+    expectMergedIdentical(serial, twoRes, "two-workload merged");
+    EXPECT_EQ(twoStore->records().size(), 8u);
+    ::remove(twoPart.c_str());
 }
 
 TEST_F(ResumeTest, MismatchedStoreIsFatal)

@@ -305,6 +305,12 @@ TEST(SampledScenario, PlanPastActualRunEndIsFatal)
         "sampling": {"fast_forward": 19000000, "measure": 1000}})");
     EXPECT_EXIT(runScenario(spec), ::testing::ExitedWithCode(1),
                 "measured nothing");
+    // The strict check applies to the merged point, not its intervals
+    // (which all ran cleanly, measuring zero instructions).
+    FaultPolicy strict;
+    strict.strict = true;
+    EXPECT_EXIT(runScenario(spec, strict), ::testing::ExitedWithCode(1),
+                "measured nothing");
 }
 
 TEST(SampledScenario, ExpandsMergesAndMatchesFullRun)
