@@ -3,16 +3,16 @@
  * Cooperative cancellation for long-running simulation loops.
  *
  * A CancelToken is armed by a job driver (wall-clock deadline, external
- * cancel) and *polled* by the simulation loops (Core::run,
- * Emulator::run) every few thousand steps. Nothing is preempted: the
- * loop notices the token at its next poll point and stops cleanly, so
- * a runaway or hung job is reaped without aborting the process or
- * corrupting shared state — the fault-containment discipline behind
- * per-job timeouts in the sweep engine and the `rix serve` daemon.
+ * cancel) and *polled* between steps: by SimContext between the
+ * 1024-cycle chunks it runs the detailed core in, and by Emulator::run
+ * every 4096 instructions. Nothing is preempted: the loop notices the
+ * token at its next poll point and stops cleanly, so a runaway or hung
+ * job is reaped without aborting the process or corrupting shared
+ * state — the fault-containment discipline behind per-job timeouts in
+ * the sweep engine and the `rix serve` daemon.
  *
- * Zero overhead when off: a loop that was not handed a token performs
- * one null-pointer test per poll interval and nothing else (the same
- * discipline as the core's detached trace and metrics hooks).
+ * Zero overhead when off: without a token SimContext adds no poll
+ * edges, and the core's own cycle loop never sees a token.
  *
  * Thread-safety: cancel() may be called from any thread (an external
  * watchdog, a signal-handling thread); poll() is called from the

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "base/log.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 
 namespace rix
@@ -89,16 +88,12 @@ Core::resetMicroarch(const Program &program, const CoreParams &params)
     divergence_ = DivergenceReport{};
     stuck_ = false;
     stuckReason_.clear();
-    cancel_ = nullptr;
-    cancelled_ = CancelReason::None;
     lastProgressCycle = 0;
     stats_ = CoreStats{};
     trace_ = nullptr;
     traceStart_ = 0;
     traceEnd_ = 0;
-    metrics_ = nullptr;
-    metricsNext_ = ~Cycle(0);
-    cov_ = nullptr;
+    uncountedEvents_ = 0;
 
     initArchState();
 }
@@ -224,29 +219,8 @@ Core::RunResult
 Core::run(u64 max_retired, Cycle max_cycles)
 {
     while (!done && stats_.retired < max_retired &&
-           stats_.cycles < max_cycles) {
-        // Cooperative cancellation: one pointer test per cycle when no
-        // token is attached; the (clock-reading) poll itself only every
-        // 1024 cycles. Cancellation stops *between* cycles, leaving the
-        // core mid-run with consistent state.
-        if (cancel_ && (stats_.cycles & 1023) == 0) {
-            const CancelReason why = cancel_->poll();
-            if (why != CancelReason::None) {
-                cancelled_ = why;
-                break;
-            }
-        }
-        // Interval metrics: one pointer test per cycle when detached
-        // (the cancel-token discipline). Sampling only reads counters
-        // the simulation maintains anyway.
-        if (metrics_ && stats_.cycles >= metricsNext_)
-            sampleMetrics();
+           stats_.cycles < max_cycles)
         tick();
-    }
-    // Close the final (possibly partial) interval so the series always
-    // sums to the run's aggregate counters.
-    if (metrics_)
-        sampleMetrics();
     return {stats_.retired, stats_.cycles, done};
 }
 
@@ -260,37 +234,6 @@ Core::setTraceSink(TraceSink *sink, u64 start, u64 count)
     }
     traceStart_ = start;
     traceEnd_ = count > ~u64(0) - start ? ~u64(0) : start + count;
-}
-
-void
-Core::setMetrics(MetricsRecorder *recorder)
-{
-    metrics_ = recorder;
-    if (!recorder) {
-        metricsNext_ = ~Cycle(0);
-        return;
-    }
-    MetricsMemCounters mc;
-    mc.l1d = mem.l1d().misses();
-    mc.l1i = mem.l1i().misses();
-    mc.l2 = mem.l2().misses();
-    mc.dtlb = mem.dtlb().misses();
-    mc.itlb = mem.itlb().misses();
-    recorder->begin(stats_, mc);
-    metricsNext_ = stats_.cycles + recorder->every();
-}
-
-void
-Core::sampleMetrics()
-{
-    MetricsMemCounters mc;
-    mc.l1d = mem.l1d().misses();
-    mc.l1i = mem.l1i().misses();
-    mc.l2 = mem.l2().misses();
-    mc.dtlb = mem.dtlb().misses();
-    mc.itlb = mem.itlb().misses();
-    metrics_->sample(stats_, mc);
-    metricsNext_ = stats_.cycles + metrics_->every();
 }
 
 void

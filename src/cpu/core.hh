@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "base/cancel.hh"
 #include "core/integration.hh"
 #include "cpu/core_stats.hh"
 #include "cpu/divergence.hh"
@@ -51,8 +50,6 @@ namespace rix
 {
 
 class TraceSink;
-class MetricsRecorder;
-class CoverageMap;
 
 class Core
 {
@@ -93,7 +90,9 @@ class Core
 
     /** Run until HALT retires or a limit is hit. Note run() is a stop
      *  *condition* checked between cycles: the final cycle can retire
-     *  up to retire-width instructions past @p max_retired. */
+     *  up to retire-width instructions past @p max_retired. A driver
+     *  that polls or samples between cycles (SimContext) runs it in
+     *  chunks, passing each chunk's end as @p max_cycles. */
     RunResult run(u64 max_retired = ~u64(0), Cycle max_cycles = ~Cycle(0));
 
     /**
@@ -111,6 +110,8 @@ class Core
     }
 
     bool halted() const { return done && !divergence_.diverged && !stuck_; }
+    /** No cycle is left to run: halted, stuck or diverged. */
+    bool stopped() const { return done; }
     Cycle now() const { return cycle; }
     const CoreStats &stats() const { return stats_; }
     const CoreParams &params() const { return p; }
@@ -133,18 +134,6 @@ class Core
     {
         return divergence_.diverged ? &divergence_ : nullptr;
     }
-
-    /**
-     * Attach a cooperative cancellation token polled by run() (every
-     * 1024 cycles, so the only cost when unset is one pointer test
-     * per cycle batch). When the token fires, run() stops between
-     * cycles with cancelled() reporting why; the core's state remains
-     * consistent (mid-run, not halted). Cleared by reset().
-     */
-    void setCancelToken(const CancelToken *token) { cancel_ = token; }
-
-    /** Why run() stopped early, or CancelReason::None. */
-    CancelReason cancelled() const { return cancelled_; }
 
     /**
      * True after the forward-progress watchdog tripped: no instruction
@@ -172,24 +161,14 @@ class Core
     void setTraceSink(TraceSink *sink, u64 start, u64 count);
 
     /**
-     * Attach a microarchitectural coverage map (not owned; null
-     * detaches): the rename/retire/squash taps set discrete event
-     * bits in it as the simulation runs. Observability only — the
-     * same zero-overhead discipline as tracing: one pointer test at
-     * each tap when detached, and simulated state plus every
-     * CoreStats field are bit-identical either way. Cleared by
-     * reset().
+     * Section-A coverage events (trace/coverage.hh bit positions) that
+     * no CoreStats counter records: branch-outcome integration, the
+     * rename-time redirect, direction-predictor edges, CHT decrements
+     * and write-buffer stalls at retire. OR-ed in unconditionally as
+     * they happen and cleared by reset(); every other coverage bit is
+     * derived from the counters after the run (CoverageMap::harvest).
      */
-    void setCoverage(CoverageMap *map) { cov_ = map; }
-
-    /**
-     * Attach an interval-metrics recorder (not owned; null detaches):
-     * run() closes one CoreStats-delta interval every
-     * recorder->every() cycles and a final partial interval when it
-     * stops. begin() is called here, so the series starts at the
-     * current counters. Cleared by reset().
-     */
-    void setMetrics(MetricsRecorder *recorder);
+    u64 uncountedEvents() const { return uncountedEvents_; }
 
     /** In-flight instruction count (tests). */
     size_t robOccupancy() const { return rob.size(); }
@@ -277,7 +256,7 @@ class Core
     void handleMisintegration(DynInst &di);
     void recordRetireStats(const DynInst &di);
 
-    // ---- observability taps (out-of-line; cold unless attached) ----
+    // ---- trace taps (out-of-line; cold unless a sink is attached) ----
     void traceRetired(const DynInst &di);
     void traceSquashed(const DynInst &di, SquashCause cause);
     bool
@@ -285,7 +264,6 @@ class Core
     {
         return stats_.retired >= traceStart_ && stats_.retired < traceEnd_;
     }
-    void sampleMetrics();
 
     u64 readReg(PhysReg r) const { return pregValue[r]; }
 
@@ -411,22 +389,20 @@ class Core
     DivergenceReport divergence_;
     bool stuck_ = false;
     std::string stuckReason_;
-    const CancelToken *cancel_ = nullptr;
-    CancelReason cancelled_ = CancelReason::None;
     Cycle lastProgressCycle = 0;
     CoreStats stats_;
 
-    // ---- observability (PR 9) ----
-    // Null when off: the only hot-path cost of the disabled tracer is
-    // one pointer test per retiring/squashed instruction, and of
-    // disabled metrics one pointer test per cycle in run(). Neither ever feeds back into
-    // simulated state.
+    u64 uncountedEvents_ = 0; // see uncountedEvents()
+
+    // ---- the per-instruction trace tap ----
+    // The core's only attachment: null when off, so the disabled
+    // tracer costs one pointer test per retiring/squashed instruction
+    // and never feeds back into simulated state. Cancellation and
+    // interval metrics are SimContext's, between chunks of cycles;
+    // coverage is harvested from the counters after the run.
     TraceSink *trace_ = nullptr;
     u64 traceStart_ = 0;
     u64 traceEnd_ = 0; // exclusive; 0 with trace_ null
-    MetricsRecorder *metrics_ = nullptr;
-    Cycle metricsNext_ = ~Cycle(0);
-    CoverageMap *cov_ = nullptr;
 };
 
 } // namespace rix

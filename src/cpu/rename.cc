@@ -75,8 +75,7 @@ Core::applyIntegration(DynInst &di, const IntegrationResult &res)
     di.sourceEntry = res.entryHandle;
 
     if (res.isBranch) {
-        if (cov_)
-            cov_->set(kCovIntegBranch);
+        uncountedEvents_ |= u64(1) << kCovIntegBranch;
         // Outcome reuse: resolve the branch right now.
         di.actualTaken = res.taken;
         di.actualTarget = InstAddr(u32(di.inst.imm));
@@ -168,16 +167,11 @@ Core::renameOne(InstHandle h)
     cand.src2Gen = di.gsrc2;
 
     IntegrationResult res = integ.tryIntegrate(cand);
-    if (res.suppressed) {
+    if (res.suppressed)
         ++stats_.lispFalseCandidates;
-        if (cov_)
-            cov_->set(kCovLispSuppress);
-    }
     if (res.integrated && p.integ.lisp == LispMode::Oracle &&
         oracleWouldMisintegrate(di, res)) {
         ++stats_.oracleSuppressions;
-        if (cov_)
-            cov_->set(kCovOracleSuppress);
         res = IntegrationResult{};
     }
 
@@ -195,8 +189,7 @@ Core::renameOne(InstHandle h)
         if (redirect) {
             // Early (rename-time) branch resolution: the front end is
             // on the wrong path.
-            if (cov_)
-                cov_->set(kCovRenameRedirect);
+            uncountedEvents_ |= u64(1) << kCovRenameRedirect;
             di.mispredicted = true;
             ++stats_.branchMispredicts;
             squashFrom(di, /*include_boundary=*/false, di.actualNextPc(),

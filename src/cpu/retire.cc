@@ -47,18 +47,6 @@ Core::squashFrom(DynInst &boundary, bool include_boundary, InstAddr new_pc,
     const InstSeqNum bseq =
         include_boundary ? boundary.seq - 1 : boundary.seq;
 
-    // Coverage tap (observability only): which recovery paths fired.
-    if (cov_) {
-        switch (cause) {
-          case SquashCause::Branch: cov_->set(kCovSquashBranch); break;
-          case SquashCause::MemOrder: cov_->set(kCovSquashMemOrder); break;
-          case SquashCause::Misintegration:
-            cov_->set(kCovSquashMisint);
-            break;
-          case SquashCause::None: break;
-        }
-    }
-
     // Capture what we need from the boundary before it is destroyed
     // (include_boundary destroys it too).
     const BranchPrediction boundary_pred = boundary.pred;
@@ -137,16 +125,9 @@ Core::handleMisintegration(DynInst &di)
         ++stats_.misintBranches;
     else
         ++stats_.misintRegisters;
-    if (cov_)
-        cov_->set(di.isLoad() ? kCovMisintLoad
-                  : di.inst.isCondBranch() ? kCovMisintBranch
-                                           : kCovMisintRegister);
 
-    if (di.isLoad() && p.integ.lisp == LispMode::Realistic) {
+    if (di.isLoad() && p.integ.lisp == LispMode::Realistic)
         integ.lisp().trainMisintegration(di.pc);
-        if (cov_)
-            cov_->set(kCovLispTrain);
-    }
 
     // The matched entry produced a wrong result; kill it so the
     // re-fetched instruction cannot re-integrate it (guarantees
@@ -166,11 +147,8 @@ Core::recordRetireStats(const DynInst &di)
     const Instruction &inst = di.inst;
     if (inst.isLoad()) {
         ++stats_.retiredLoads;
-        if (inst.ra == regSp) {
+        if (inst.ra == regSp)
             ++stats_.retiredSpLoads;
-            if (cov_)
-                cov_->set(kCovRetireSpLoad);
-        }
     } else if (inst.isStore()) {
         ++stats_.retiredStores;
     } else if (inst.isCondBranch()) {
@@ -236,17 +214,6 @@ Core::recordRetireStats(const DynInst &di)
         else
             rb = 3;
         ++stats_.integByRefcount[rb][r];
-        if (cov_)
-            cov_->set(kCovIntegRefcount + rb * 2 + r);
-    }
-
-    // Coverage taps piggyback on the buckets the Figure-5 accounting
-    // just computed: one discrete bit per (bucket, direct/reverse)
-    // combination this run has exercised.
-    if (cov_) {
-        cov_->set(kCovIntegType + type * 2 + r);
-        cov_->set(kCovIntegDistance + db * 2 + r);
-        cov_->set(kCovIntegStatus + sb * 2 + r);
     }
 }
 
@@ -263,8 +230,7 @@ Core::retireStage()
         if (!di.completed || di.completeCycle >= cycle)
             return;
         if (di.isStore() && writeBuffer.full()) {
-            if (cov_)
-                cov_->set(kCovRetireWbStall);
+            uncountedEvents_ |= u64(1) << kCovRetireWbStall;
             return;
         }
 
@@ -295,8 +261,6 @@ Core::retireStage()
             stuckReason_ = golden_.fault().describe();
             stuck_ = true;
             done = true;
-            if (cov_)
-                cov_->set(kCovTextFault);
             return;
         }
         lastProgressCycle = cycle;
@@ -314,8 +278,7 @@ Core::retireStage()
                 rix_panic("LQ head mismatch at retire");
             if (di.speculativePastStore) {
                 cht[di.pc & (cht.size() - 1)].decrement();
-                if (cov_)
-                    cov_->set(kCovRetireChtDecrement);
+                uncountedEvents_ |= u64(1) << kCovRetireChtDecrement;
             }
             lq.pop_front();
         }
@@ -327,12 +290,11 @@ Core::retireStage()
                 ++stats_.retiredMispredicts;
                 stats_.mispredResolveLatSum +=
                     di.completeCycle - di.fetchCycle;
-                if (cov_)
-                    cov_->set(kCovMispredictRetired);
             }
-            if (cov_ && di.inst.isCondBranch())
-                cov_->set(kCovBranchEdge + (di.pred.predTaken ? 2 : 0) +
-                          (di.actualTaken ? 1 : 0));
+            if (di.inst.isCondBranch())
+                uncountedEvents_ |=
+                    u64(1) << (kCovBranchEdge + (di.pred.predTaken ? 2 : 0) +
+                               (di.actualTaken ? 1 : 0));
         }
 
         recordRetireStats(di);
@@ -343,8 +305,6 @@ Core::retireStage()
         pool.release(rob.pop_front());
         if (halt) {
             done = true;
-            if (cov_)
-                cov_->set(kCovRetireHalt);
             return;
         }
     }

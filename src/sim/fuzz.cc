@@ -7,6 +7,7 @@
 #include "base/log.hh"
 #include "base/rng.hh"
 #include "base/thread_pool.hh"
+#include "sim/sweep.hh"
 #include "sim/validate.hh"
 
 namespace rix
@@ -255,6 +256,43 @@ struct Outcome
     CoverageMap map;
 };
 
+/**
+ * Run @p prog on @p ctx with failures contained and return the core,
+ * whose outcome and coverage the caller reads.
+ */
+const Core &
+runContained(SimContext &ctx, const Program &prog, const CoreParams &params,
+             u64 max_retired, Cycle max_cycles)
+{
+    JobFault fault;
+    RunControl ctl;
+    ctl.fault = &fault;
+    ctx.run(prog, params, max_retired, max_cycles, ctl);
+    return ctx.core();
+}
+
+/**
+ * How a contained run failed: its DIVA divergence report, a "stuck"
+ * report when the forward-progress watchdog tripped or a store hit
+ * the text segment (a deadlock, livelock or wild store the fuzzer
+ * provoked — as much a finding as a divergence), or an empty report
+ * (diverged false) when it did not fail.
+ */
+DivergenceReport
+failureOf(const Core &core)
+{
+    if (const DivergenceReport *d = core.divergence())
+        return *d;
+    DivergenceReport r;
+    if (core.stuck()) {
+        r.diverged = true;
+        r.kind = "stuck";
+        r.icount = core.stats().retired;
+        r.reason = core.stuckReason();
+    }
+    return r;
+}
+
 /** One scheduled program: everything needed to regenerate it. */
 struct RunDesc
 {
@@ -264,10 +302,9 @@ struct RunDesc
 };
 
 /**
- * One (program, panel point) simulation. Reuses one long-lived core
- * per worker thread (and one on the calling thread for the serial
- * path), reset per job — the same reusable-context discipline as the
- * sweep engine.
+ * One (program, panel point) simulation. Reuses one long-lived
+ * SimContext per worker thread (and one on the calling thread for the
+ * serial path), reset per job — the sweep engine's discipline.
  */
 Outcome
 runOne(const FuzzOptions &opts, u64 seed, const RandProgConfig &cfg,
@@ -288,32 +325,13 @@ runOne(const FuzzOptions &opts, u64 seed, const RandProgConfig &cfg,
         }
     }
 
-    thread_local std::unique_ptr<Core> core;
-    if (!core)
-        core = std::make_unique<Core>(prog, pt.params);
-    else
-        core->reset(prog, pt.params);
-    core->setCoverage(&o.map);
-    core->run(opts.maxRetired, opts.maxCycles);
-    core->setCoverage(nullptr); // o.map is about to move out
-    o.map.harvestStats(core->stats());
-
-    if (const DivergenceReport *d = core->divergence()) {
-        o.failed = true;
-        o.report = *d;
-    } else if (core->stuck()) {
-        // The forward-progress watchdog tripped (or a store hit the
-        // text segment): a deadlock, livelock or wild store the fuzzer
-        // provoked. As much a finding as a divergence — report and
-        // minimize it; it does not kill the campaign.
-        o.failed = true;
-        o.report.diverged = true;
-        o.report.kind = "stuck";
-        o.report.icount = core->stats().retired;
-        o.report.reason = core->stuckReason();
-    } else if (!core->halted()) {
-        o.truncated = true;
-    }
+    thread_local SimContext ctx;
+    const Core &core =
+        runContained(ctx, prog, pt.params, opts.maxRetired, opts.maxCycles);
+    o.map.harvest(core);
+    o.report = failureOf(core);
+    o.failed = o.report.diverged;
+    o.truncated = !o.failed && !core.halted();
     if (o.failed)
         applyFailureClass(o.report, o.map);
     return o;
@@ -543,13 +561,10 @@ runFuzz(const FuzzOptions &opts)
         const Cycle budget_cycles =
             std::min<Cycle>(opts.maxCycles,
                             budget_retired * 20 + 100'000);
-        std::unique_ptr<Core> mcore;
+        SimContext mctx;
         const auto runCandidate = [&](const Program &cand) {
-            if (!mcore)
-                mcore = std::make_unique<Core>(cand, pt.params);
-            else
-                mcore->reset(cand, pt.params);
-            mcore->run(budget_retired, budget_cycles);
+            return failureOf(runContained(mctx, cand, pt.params,
+                                          budget_retired, budget_cycles));
         };
         // Only candidates reproducing the original failure *kind*
         // count: a divergence must not shrink into an unrelated stuck
@@ -558,10 +573,8 @@ runFuzz(const FuzzOptions &opts)
         // neutralized.
         const std::string wantKind = f.report.kind;
         const auto failsSameKind = [&](const Program &cand) {
-            runCandidate(cand);
-            if (const DivergenceReport *d = mcore->divergence())
-                return d->kind == wantKind;
-            return mcore->stuck() && wantKind == "stuck";
+            const DivergenceReport r = runCandidate(cand);
+            return r.diverged && r.kind == wantKind;
         };
         f.minimized =
             minimizeProgram(f.minimized, failsSameKind, &f.minimizeRuns);
@@ -569,16 +582,10 @@ runFuzz(const FuzzOptions &opts)
 
         // Confirmation run: re-verify the shrunken program once and
         // record how it fails (the reproducer embeds this report).
-        runCandidate(f.minimized);
+        const DivergenceReport confirmed = runCandidate(f.minimized);
         ++res.runs;
-        if (const DivergenceReport *d = mcore->divergence()) {
-            f.minimizedReport = *d;
-        } else if (mcore->stuck()) {
-            f.minimizedReport = DivergenceReport{};
-            f.minimizedReport.diverged = true;
-            f.minimizedReport.kind = "stuck";
-            f.minimizedReport.icount = mcore->stats().retired;
-            f.minimizedReport.reason = mcore->stuckReason();
+        if (confirmed.diverged) {
+            f.minimizedReport = confirmed;
         } else {
             // The predicate held for every kept candidate, so this is
             // unreachable for a deterministic core; keep the original

@@ -1,7 +1,7 @@
 #include "sim/simulator.hh"
 
 #include "base/log.hh"
-#include "sim/validate.hh"
+#include "sim/sweep.hh"
 #include "trace/profiler.hh"
 
 namespace rix
@@ -118,11 +118,7 @@ SimReport
 runSimulation(const Program &prog, const CoreParams &params,
               u64 max_retired, Cycle max_cycles)
 {
-    requireValidCoreParams(params, "runSimulation(" + prog.name + ")");
-    Core core(prog, params);
-    core.run(max_retired, max_cycles);
-    requireNoDivergence(core, prog.name);
-    return collectReport(core, prog.name);
+    return SimContext().run(prog, params, max_retired, max_cycles);
 }
 
 std::string

@@ -34,9 +34,9 @@ SimReport collectReport(Core &core, const std::string &workload);
  * Fatal — printing the full divergence report, prefixed with @p what —
  * when @p core stopped on a DIVA divergence. A divergence never
  * panics, so every driver that calls Core::run directly and reports
- * its statistics must call this (or inspect Core::divergence() itself,
- * as the fuzz driver does) before trusting the report: a diverged core
- * stopped mid-program.
+ * its statistics must call this (or inspect Core::divergence() itself)
+ * before trusting the report: a diverged core stopped mid-program.
+ * SimContext does it for every run.
  */
 void requireNoDivergence(const Core &core, const std::string &what);
 
@@ -60,7 +60,9 @@ void accumulateReport(SimReport &into, const SimReport &part);
 void exportReport(const SimReport &rep, StatSet &out);
 
 /**
- * Run @p prog on a core configured by @p params.
+ * Run @p prog on a core configured by @p params: SimContext::run with
+ * no RunControl, so invalid params, a stuck core (watchdog or
+ * text-segment stop) and a DIVA divergence are all fatal.
  * @param max_retired stop after this many retired instructions
  * @param max_cycles  hard cycle limit
  */

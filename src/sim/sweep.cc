@@ -1,5 +1,6 @@
 #include "sim/sweep.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -170,14 +171,16 @@ namespace
 {
 
 /**
- * Translate how the core stopped into either a JobFault (contained
- * path) or the historical fatal (ctl.fault null). Divergence keeps its
- * full DIVA report; stuck keeps the watchdog's diagnosis; a fired
- * deadline is a timeout; an external cancel means the job was asked to
- * stop (shutdown) and is reported skipped.
+ * Translate how the core stopped — or why @p cancelled stopped it —
+ * into either a JobFault (contained path) or the historical fatal
+ * (ctl.fault null). Divergence keeps its full DIVA report; stuck keeps
+ * the watchdog's diagnosis; a fired deadline is a timeout; an external
+ * cancel means the job was asked to stop (shutdown) and is reported
+ * skipped.
  */
 void
-noteOutcome(const Core &core, const std::string &what, const RunControl &ctl)
+noteOutcome(const Core &core, const std::string &what, const RunControl &ctl,
+            CancelReason cancelled)
 {
     if (!ctl.fault) {
         if (core.stuck())
@@ -194,11 +197,11 @@ noteOutcome(const Core &core, const std::string &what, const RunControl &ctl)
     } else if (core.stuck()) {
         f.status = JobStatus::Stuck;
         f.message = what + ": " + core.stuckReason();
-    } else if (core.cancelled() == CancelReason::Deadline) {
+    } else if (cancelled == CancelReason::Deadline) {
         f.status = JobStatus::Timeout;
         f.message = what + ": wall-clock timeout after " +
                     std::to_string(core.stats().cycles) + " cycles";
-    } else if (core.cancelled() == CancelReason::External) {
+    } else if (cancelled == CancelReason::External) {
         f.status = JobStatus::Skipped;
         f.message = what + ": cancelled";
     }
@@ -206,28 +209,66 @@ noteOutcome(const Core &core, const std::string &what, const RunControl &ctl)
 
 } // namespace
 
+CancelReason
+SimContext::advance(u64 max_retired, Cycle max_cycles,
+                    const CancelToken *cancel, MetricsRecorder *metrics)
+{
+    Core &core = *core_;
+    const CoreStats &s = core.stats();
+    Cycle nextSample = ~Cycle(0);
+    if (metrics) {
+        metrics->begin(collectReport(core, {}));
+        nextSample = s.cycles + metrics->every();
+    }
+    CancelReason why = CancelReason::None;
+    while (!core.stopped() && s.retired < max_retired &&
+           s.cycles < max_cycles) {
+        // A chunk edge: poll (the clock read) on 1024-cycle multiples,
+        // then close a metrics interval if one is due. Both only read
+        // the core, which stops between cycles with consistent state.
+        const Cycle now = s.cycles;
+        if (cancel && (now & 1023) == 0) {
+            why = cancel->poll();
+            if (why != CancelReason::None)
+                break;
+        }
+        if (metrics && now >= nextSample) {
+            metrics->sample(collectReport(core, {}));
+            nextSample = now + metrics->every();
+        }
+        Cycle edge = max_cycles;
+        if (cancel)
+            edge = std::min(edge, (now | 1023) + 1);
+        edge = std::min(edge, nextSample);
+        core.run(max_retired, edge);
+    }
+    // Close the final (possibly partial) interval so the series always
+    // sums to the run's aggregate counters.
+    if (metrics)
+        metrics->sample(collectReport(core, {}));
+    return why;
+}
+
 SimReport
 SimContext::run(const Program &prog, const CoreParams &params,
                 u64 max_retired, Cycle max_cycles, const RunControl &ctl)
 {
     requireValidCoreParams(params, "SimContext(" + prog.name + ")");
-    if (!core)
-        core = std::make_unique<Core>(prog, params);
+    if (!core_)
+        core_ = std::make_unique<Core>(prog, params);
     else
-        core->reset(prog, params);
-    core->setCancelToken(ctl.cancel);
+        core_->reset(prog, params);
     if (ctl.trace)
-        core->setTraceSink(ctl.trace, ctl.traceStart, ctl.traceCount);
-    if (ctl.metrics)
-        core->setMetrics(ctl.metrics);
+        core_->setTraceSink(ctl.trace, ctl.traceStart, ctl.traceCount);
+    CancelReason why;
     {
         ScopedPhase timer(HostPhase::DetailedSim);
-        core->run(max_retired, max_cycles);
+        why = advance(max_retired, max_cycles, ctl.cancel, ctl.metrics);
     }
     if (ctl.trace)
         ctl.trace->flush();
-    noteOutcome(*core, prog.name, ctl);
-    return collectReport(*core, prog.name);
+    noteOutcome(*core_, prog.name, ctl, why);
+    return collectReport(*core_, prog.name);
 }
 
 SimReport
@@ -236,13 +277,12 @@ SimContext::runInterval(const Program &prog, const Checkpoint &from,
                         Cycle max_cycles, const RunControl &ctl)
 {
     requireValidCoreParams(params, "SimContext(" + prog.name + ")");
-    if (!core)
-        core = std::make_unique<Core>(prog, params);
+    if (!core_)
+        core_ = std::make_unique<Core>(prog, params);
     {
         ScopedPhase timer(HostPhase::CheckpointRestore);
-        core->reset(prog, params, from);
+        core_->reset(prog, params, from);
     }
-    core->setCancelToken(ctl.cancel);
 
     // Detailed warmup: simulate but snapshot-and-subtract the
     // statistics. Both phases end on an *exact* retired-instruction
@@ -250,41 +290,39 @@ SimContext::runInterval(const Program &prog, const Checkpoint &from,
     // [checkpoint, checkpoint+warmup+measure) of the architectural
     // stream and adjacent intervals never double-count instructions
     // through multi-wide retirement overshoot.
-    SimReport warm;
+    CancelReason why = CancelReason::None;
     if (warmup) {
         ScopedPhase timer(HostPhase::DetailedSim);
-        core->setRetireStop(warmup);
-        core->run(warmup, max_cycles);
+        core_->setRetireStop(warmup);
+        why = advance(warmup, max_cycles, ctl.cancel, nullptr);
     }
-    warm = collectReport(*core, prog.name);
+    const SimReport warm = collectReport(*core_, prog.name);
 
-    // Observability attaches after warmup: the trace window indexes
-    // into the measured retire stream and the metrics series covers
-    // exactly the measured (reported) interval.
-    if (ctl.trace) {
-        const u64 warmed0 = core->stats().retired;
-        const u64 start = ctl.traceStart > ~u64(0) - warmed0
-                              ? ~u64(0)
-                              : warmed0 + ctl.traceStart;
-        core->setTraceSink(ctl.trace, start, ctl.traceCount);
-    }
-    if (ctl.metrics)
-        core->setMetrics(ctl.metrics);
-
-    const u64 warmed = core->stats().retired;
-    const u64 target =
-        measure > ~u64(0) - warmed ? ~u64(0) : warmed + measure;
-    core->setRetireStop(target);
-    {
+    if (why == CancelReason::None) {
+        // Observability starts after warmup: the trace window indexes
+        // into the measured retire stream and the metrics series
+        // covers exactly the measured (reported) interval.
+        const u64 warmed = core_->stats().retired;
+        if (ctl.trace) {
+            const u64 start = ctl.traceStart > ~u64(0) - warmed
+                                  ? ~u64(0)
+                                  : warmed + ctl.traceStart;
+            core_->setTraceSink(ctl.trace, start, ctl.traceCount);
+        }
+        const u64 target =
+            measure > ~u64(0) - warmed ? ~u64(0) : warmed + measure;
+        core_->setRetireStop(target);
         ScopedPhase timer(HostPhase::DetailedSim);
-        core->run(target, max_cycles);
+        why = advance(target, max_cycles, ctl.cancel, ctl.metrics);
+    } else if (ctl.metrics) {
+        ctl.metrics->begin(warm); // cancelled in warmup: no intervals
     }
     if (ctl.trace)
         ctl.trace->flush();
-    noteOutcome(*core, strfmt("%s (interval from %llu)", prog.name.c_str(),
-                              (unsigned long long)from.icount),
-                ctl);
-    return deltaReport(collectReport(*core, prog.name), warm);
+    noteOutcome(*core_, strfmt("%s (interval from %llu)", prog.name.c_str(),
+                               (unsigned long long)from.icount),
+                ctl, why);
+    return deltaReport(collectReport(*core_, prog.name), warm);
 }
 
 SweepRunner::SweepRunner(unsigned num_threads)

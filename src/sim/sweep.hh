@@ -89,13 +89,13 @@ struct SimJob
     u64 checkpointAt = noCheckpoint;
     u64 warmup = 0;
 
-    // Observability attach points (PR 9), null/zero when off. The
-    // sink/recorder are owned by the job (shared_ptr so SimJob stays
-    // copyable) and attached to the worker's core for the measured
-    // run; they never affect simulated state. For sampled jobs the
-    // trace window indexes into the *measured* retire stream (warmup
-    // is not traced). A retried attempt re-arms the metrics recorder
-    // but appends to the trace sink (file sinks cannot rewind).
+    // Observability, null/zero when off. The sink/recorder are owned
+    // by the job (shared_ptr so SimJob stays copyable) and used for
+    // the measured run only; they never affect simulated state. For
+    // sampled jobs the trace window indexes into the *measured* retire
+    // stream (warmup is not traced). A retried attempt re-arms the
+    // metrics recorder but appends to the trace sink (file sinks
+    // cannot rewind).
     std::shared_ptr<TraceSink> trace;
     u64 traceStart = 0;
     u64 traceCount = 0;
@@ -136,18 +136,19 @@ struct JobFault
 };
 
 /**
- * Optional per-run control for SimContext: a cancellation token the
- * core polls (timeouts, shutdown) and a fault sink. With a null
- * `fault`, failures are fatal: DIVA enforcement for direct callers.
- * The sweep executor (runJobContained) always passes one.
+ * Optional per-run control for SimContext: a cancellation token polled
+ * between 1024-cycle chunks (timeouts, shutdown) and a fault sink.
+ * With a null `fault`, failures are fatal: DIVA enforcement for direct
+ * callers. The sweep executor (runJobContained) always passes one.
  */
 struct RunControl
 {
     const CancelToken *cancel = nullptr;
     JobFault *fault = nullptr;
 
-    // Observability taps forwarded to the core (see SimJob). Non-owning;
-    // the caller keeps them alive across the run.
+    // Observability (see SimJob): the trace sink is the core's
+    // per-instruction tap; the metrics recorder is sampled between
+    // chunks. Non-owning; the caller keeps them alive across the run.
     TraceSink *trace = nullptr;
     u64 traceStart = 0;
     u64 traceCount = 0;
@@ -157,7 +158,10 @@ struct RunControl
 /**
  * A reusable simulation context: one long-lived Core that is reset
  * (not reconstructed) for every job it runs. Each sweep worker owns
- * one; single runs can use one directly.
+ * one; single runs can use one directly. It is the one driver of the
+ * core: it runs Core::run in chunks and does the between-cycle work —
+ * cancellation polls every 1024 cycles, interval-metrics samples —
+ * at the chunk edges, so the core's own loop is only tick().
  */
 class SimContext
 {
@@ -188,8 +192,24 @@ class SimContext
                           u64 measure, Cycle max_cycles,
                           const RunControl &ctl = {});
 
+    /** The core of the last run, for outcome and coverage reads
+     *  (rix fuzz). Only valid after a run. */
+    const Core &core() const { return *core_; }
+
   private:
-    std::unique_ptr<Core> core;
+    /**
+     * Run the core towards @p max_retired / @p max_cycles in chunks
+     * ending at every 1024-cycle multiple (with @p cancel) and every
+     * @p metrics boundary; at each edge poll the token, then sample
+     * the recorder. Begins @p metrics at the current counters and
+     * closes its final interval on exit.
+     * @return why a fired token stopped the run, or None.
+     */
+    CancelReason advance(u64 max_retired, Cycle max_cycles,
+                         const CancelToken *cancel,
+                         MetricsRecorder *metrics);
+
+    std::unique_ptr<Core> core_;
 };
 
 /**

@@ -1,8 +1,9 @@
 #include "trace/coverage.hh"
 
 #include <cstring>
+#include <utility>
 
-#include "cpu/core_stats.hh"
+#include "cpu/core.hh"
 
 namespace rix
 {
@@ -28,13 +29,61 @@ logBucket(u64 v)
     return b >= 15 ? 15 : b + 1;
 }
 
+/** Set bit @p base + 2 * bucket + r for every non-zero cell. */
+template <size_t Rows>
+void
+setNonZero(CoverageMap &m, unsigned base, const u64 (&cells)[Rows][2])
+{
+    for (unsigned b = 0; b < Rows; ++b)
+        for (unsigned r = 0; r < 2; ++r)
+            if (cells[b][r])
+                m.set(base + b * 2 + r);
+}
+
 } // namespace
 
 void
-CoverageMap::harvestStats(const CoreStats &s)
+CoverageMap::harvest(const Core &core)
 {
-    // One 16-bit region per counter, in a fixed order; appending to
-    // this list is compatible with old maps (new bits only).
+    const CoreStats &s = core.stats();
+
+    // Section A. Counters only grow from zero at reset, so "non-zero
+    // after the run" is exactly "the event happened during it".
+    const u64 uncounted = core.uncountedEvents();
+    words_[0] |= uncounted;
+    setNonZero(*this, kCovIntegType, s.integByType);
+    setNonZero(*this, kCovIntegDistance, s.integByDistance);
+    setNonZero(*this, kCovIntegStatus, s.integByStatus);
+    setNonZero(*this, kCovIntegRefcount, s.integByRefcount);
+    const std::pair<u64, unsigned> counted[] = {
+        {s.lispFalseCandidates, kCovLispSuppress},
+        {s.oracleSuppressions, kCovOracleSuppress},
+        {s.misintLoads, kCovMisintLoad},
+        {s.misintBranches, kCovMisintBranch},
+        {s.misintRegisters, kCovMisintRegister},
+        // The rename-time redirect squashes without counting a
+        // branch squash.
+        {s.squashesBranch | ((uncounted >> kCovRenameRedirect) & 1),
+         kCovSquashBranch},
+        {s.squashesMemOrder, kCovSquashMemOrder},
+        {s.squashesMisint, kCovSquashMisint},
+        {s.retiredMispredicts, kCovMispredictRetired},
+        {s.retiredSpLoads, kCovRetireSpLoad},
+    };
+    for (const auto &[count, bit] : counted)
+        if (count)
+            set(bit);
+    // Every misintegrated load trains a realistic LISP.
+    if (s.misintLoads && core.params().integ.lisp == LispMode::Realistic)
+        set(kCovLispTrain);
+    if (core.halted())
+        set(kCovRetireHalt);
+    if (core.stuck() && core.golden().faulted())
+        set(kCovTextFault);
+
+    // Section B: one 16-bit region per counter, in a fixed order;
+    // appending to this list is compatible with old maps (new bits
+    // only).
     const u64 counters[] = {
         s.cycles,          s.fetched,
         s.renamed,         s.issued,

@@ -6,27 +6,28 @@
  * microarchitectural paths one simulation actually exercised. It has
  * two sections:
  *
- *  - Section A (word 0): discrete event bits set by live taps inside
- *    the core — integration outcomes by type/distance/status/refcount
- *    at retirement, LISP and oracle suppressions, branch-outcome
- *    integration and rename-time redirects, mis-integration kinds,
- *    squash causes, direction-predictor (predicted, actual) edges at
- *    retirement, and retire/writeback edge cases (sp-base loads, CHT
- *    decrements, write-buffer stalls, HALT, text-segment faults).
- *    The top bits classify how a fuzz run failed; the fuzz driver
- *    sets them after the run from the structured outcome.
+ *  - Section A (word 0): discrete event bits — integration outcomes
+ *    by type/distance/status/refcount at retirement, LISP and oracle
+ *    suppressions, branch-outcome integration and rename-time
+ *    redirects, mis-integration kinds, squash causes,
+ *    direction-predictor (predicted, actual) edges at retirement, and
+ *    retire/writeback edge cases (sp-base loads, CHT decrements,
+ *    write-buffer stalls, HALT, text-segment faults). The top bits
+ *    classify how a fuzz run failed; the fuzz driver sets them after
+ *    the run from the structured outcome.
  *
  *  - Section B (bits kStatsBase..): one-hot log2 buckets of the
- *    CoreStats counters, folded in by harvestStats() after the run —
- *    order-of-magnitude coverage of squash churn, mispredict volume,
- *    integration rates and the like, without per-event hot-path cost.
+ *    CoreStats counters — order-of-magnitude coverage of squash churn,
+ *    mispredict volume, integration rates and the like.
  *
- * A Core carries a nullable CoverageMap pointer with the same
- * zero-overhead discipline as the tracer:
- * when detached the only hot-path cost is one pointer test at the tap
- * sites, and attaching a map never changes simulated state — cycles,
- * retired counts and every CoreStats field are bit-identical with
- * coverage on or off.
+ * The core never writes a map. harvest() fills both sections after the
+ * run: an event bit whose event a CoreStats counter records (the
+ * Figure-5 buckets, misintegration kinds, squash causes, ...) is set
+ * when that counter is non-zero, and the five events no counter
+ * records come from the one word the core ORs them into
+ * (Core::uncountedEvents). Coverage therefore costs the simulated
+ * path one OR per uncounted event and can never change simulated
+ * state.
  *
  * Maps order/equality/signature are pure functions of the run, which
  * is what makes guided fuzz campaigns bit-reproducible across job
@@ -45,7 +46,7 @@
 namespace rix
 {
 
-struct CoreStats;
+class Core;
 
 /** Section-A event bits (word 0 of the map). */
 enum CovEvent : unsigned
@@ -120,8 +121,10 @@ class CoverageMap
         return (words_[bit / 64] >> (bit % 64)) & 1;
     }
 
-    /** Fold the log2-bucketed CoreStats counters into section B. */
-    void harvestStats(const CoreStats &s);
+    /** OR in the coverage of @p core's finished run: the section-A
+     *  bits its counters and uncounted-event word imply, and the
+     *  log2-bucketed counters as section B. */
+    void harvest(const Core &core);
 
     /**
      * OR this map into @p into.

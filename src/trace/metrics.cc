@@ -15,31 +15,20 @@ MetricsRecorder::MetricsRecorder(u64 every) : every_(every)
 }
 
 void
-MetricsRecorder::begin(const CoreStats &now, const MetricsMemCounters &mem)
+MetricsRecorder::begin(const SimReport &now)
 {
     prev_ = now;
-    prevMem_ = mem;
     rows_.clear();
 }
 
 void
-MetricsRecorder::sample(const CoreStats &now, const MetricsMemCounters &mem)
+MetricsRecorder::sample(const SimReport &now)
 {
-    if (now.cycles == prev_.cycles)
+    if (now.core.cycles == prev_.core.cycles)
         return; // exact-boundary flush: nothing elapsed
-    Interval iv;
-    iv.cycleStart = prev_.cycles;
-    iv.cycleEnd = now.cycles;
-    iv.delta = now;
-    CoreStats::subtract(iv.delta, prev_);
-    iv.mem.l1d = mem.l1d - prevMem_.l1d;
-    iv.mem.l1i = mem.l1i - prevMem_.l1i;
-    iv.mem.l2 = mem.l2 - prevMem_.l2;
-    iv.mem.dtlb = mem.dtlb - prevMem_.dtlb;
-    iv.mem.itlb = mem.itlb - prevMem_.itlb;
-    rows_.push_back(std::move(iv));
+    rows_.push_back(
+        {prev_.core.cycles, now.core.cycles, deltaReport(now, prev_)});
     prev_ = now;
-    prevMem_ = mem;
 }
 
 void
@@ -53,14 +42,14 @@ MetricsRecorder::exportRows(
         for (const auto &kv : labels)
             row.label(kv.first, kv.second);
         row.label("interval", std::to_string(i));
-        iv.delta.exportTo(row.stats);
+        iv.delta.core.exportTo(row.stats);
         row.stats.set("cycle_start", double(iv.cycleStart));
         row.stats.set("cycle_end", double(iv.cycleEnd));
-        row.stats.set("l1d_misses", double(iv.mem.l1d));
-        row.stats.set("l1i_misses", double(iv.mem.l1i));
-        row.stats.set("l2_misses", double(iv.mem.l2));
-        row.stats.set("dtlb_misses", double(iv.mem.dtlb));
-        row.stats.set("itlb_misses", double(iv.mem.itlb));
+        row.stats.set("l1d_misses", double(iv.delta.l1dMisses));
+        row.stats.set("l1i_misses", double(iv.delta.l1iMisses));
+        row.stats.set("l2_misses", double(iv.delta.l2Misses));
+        row.stats.set("dtlb_misses", double(iv.delta.dtlbMisses));
+        row.stats.set("itlb_misses", double(iv.delta.itlbMisses));
     }
 }
 

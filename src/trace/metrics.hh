@@ -4,18 +4,17 @@
  *
  * End-of-run aggregates can't show *when* a configuration wins — a
  * burst of misintegrations in one phase looks identical to a uniform
- * trickle. The recorder snapshots the full CoreStats block (plus the
- * substrate miss counters) every N simulated cycles and keeps the
- * per-interval deltas; each interval renders as one StatRegistry row
- * (JSON lines), so the time series uses the exact same column names as
- * the end-of-run export and the rows sum to the aggregate counters
- * (enforced by tests/test_trace.cc).
+ * trickle. The recorder takes the run's report (collectReport: the
+ * full CoreStats block plus the substrate miss counters) every N
+ * simulated cycles and keeps the per-interval deltaReports; each
+ * interval renders as one StatRegistry row (JSON lines), so the time
+ * series uses the exact same column names as the end-of-run export and
+ * the rows sum to the aggregate counters (enforced by
+ * tests/test_trace.cc).
  *
- * Attachment mirrors the trace sink: the Core holds a null recorder
- * pointer when metrics are off and pays one pointer test per cycle in
- * the run loop (next to the cancellation poll). Sampling reads
- * counters the simulation already maintains; simulated state is
- * untouched.
+ * The core knows nothing of it: SimContext runs the core in chunks
+ * that end on interval boundaries and samples between them, so
+ * metrics cost nothing per cycle and never touch simulated state.
  *
  * Spec block (scenario JSON) / env override:
  *
@@ -31,22 +30,12 @@
 #include <string>
 #include <vector>
 
-#include "cpu/core_stats.hh"
+#include "sim/simulator.hh"
 
 namespace rix
 {
 
 class StatRegistry;
-
-/** Substrate miss counters sampled alongside CoreStats. */
-struct MetricsMemCounters
-{
-    u64 l1d = 0;
-    u64 l1i = 0;
-    u64 l2 = 0;
-    u64 dtlb = 0;
-    u64 itlb = 0;
-};
 
 /**
  * Accumulates one run's interval deltas. Single-run, single-thread
@@ -63,27 +52,26 @@ class MetricsRecorder
     struct Interval
     {
         u64 cycleStart = 0;
-        u64 cycleEnd = 0;       // exclusive
-        CoreStats delta;        // counter deltas over [start, end)
-        MetricsMemCounters mem; // miss deltas over [start, end)
+        u64 cycleEnd = 0; // exclusive
+        SimReport delta;  // deltaReport over [start, end)
     };
 
-    /** Re-arm at the current counters: deltas accumulate from here. */
-    void begin(const CoreStats &now, const MetricsMemCounters &mem);
+    /** Re-arm at the report @p now: deltas accumulate from here. */
+    void begin(const SimReport &now);
 
     /**
-     * Close the interval ending at the current counters. A no-op when
-     * no cycles elapsed since the previous sample (run-exit flush
-     * after an exact boundary sample).
+     * Close the interval ending at the report @p now. A no-op when no
+     * cycles elapsed since the previous sample (run-exit flush after
+     * an exact boundary sample).
      */
-    void sample(const CoreStats &now, const MetricsMemCounters &mem);
+    void sample(const SimReport &now);
 
     const std::vector<Interval> &intervals() const { return rows_; }
 
     /**
      * Append one row per interval to @p reg, labeled with the caller's
      * (label, value) pairs plus "interval"; stats are the CoreStats
-     * export of the delta plus cycle_start/cycle_end and the miss
+     * export of the delta plus cycle_start/cycle_end and the five miss
      * deltas — the same names as the end-of-run report columns.
      */
     void exportRows(
@@ -102,8 +90,7 @@ class MetricsRecorder
 
   private:
     u64 every_;
-    CoreStats prev_{};
-    MetricsMemCounters prevMem_{};
+    SimReport prev_;
     std::vector<Interval> rows_;
 };
 

@@ -23,6 +23,7 @@
 #include "cpu/core.hh"
 #include "cpu/params.hh"
 #include "emu/emulator.hh"
+#include "sim/simulator.hh"
 #include "tests/reference_interp.hh"
 #include "workload/randprog.hh"
 
@@ -472,4 +473,18 @@ TEST(TextFault, CoreContainsFaultAsStuckStop)
     EXPECT_FALSE(core.halted());
     EXPECT_NE(core.stuckReason().find("text"), std::string::npos);
     EXPECT_TRUE(core.golden().faulted());
+}
+
+TEST(TextFaultDeathTest, RunSimulationExitsOnTheStuckStop)
+{
+    // The one-shot driver must not hand the stopped run back as a
+    // result: a stuck core is fatal, naming the text fault.
+    const std::vector<Instruction> code = {
+        makeRI(Opcode::ADDQI, 2, 31, 5),
+        makeStore(Opcode::STQ, 2, 0, 31),
+        makeHalt(),
+    };
+    const Program p = fromCode(code);
+    EXPECT_EXIT(runSimulation(p, CoreParams{}, 1'000, 100'000),
+                ::testing::ExitedWithCode(1), "text");
 }

@@ -16,6 +16,7 @@
 #include "base/fault.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
+#include "workload/program_cache.hh"
 
 using namespace rix;
 
@@ -252,4 +253,16 @@ TEST(FaultContainment, CancelTokenExternalWinsRace)
     // First cause sticks even if the deadline later passes.
     token.cancel(CancelReason::Deadline);
     EXPECT_EQ(token.firedReason(), CancelReason::External);
+
+    // A run handed the already-cancelled token stops at its first
+    // poll, before any cycle: skipped, not timed out.
+    JobFault fault;
+    RunControl ctl;
+    ctl.cancel = &token;
+    ctl.fault = &fault;
+    const SimReport rep =
+        SimContext().run(globalProgramCache().get("gzip", 1),
+                         baselineParams(), 100'000, 1'000'000, ctl);
+    EXPECT_EQ(fault.status, JobStatus::Skipped);
+    EXPECT_EQ(rep.core.cycles, 0u);
 }

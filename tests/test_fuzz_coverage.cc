@@ -1,7 +1,7 @@
 /**
  * @file
  * Coverage-guided fuzzing: the CoverageMap itself (bit plumbing,
- * serialization, signatures), the zero-overhead attach discipline,
+ * serialization, signatures), harvesting it from a reused context,
  * mutation and corpus reproducibility, and the campaign invariants
  * the guided driver promises — bit-identical schedules, coverage
  * unions, corpus contents and failure counters for any job count,
@@ -18,12 +18,12 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 
-#include "cpu/core.hh"
 #include "sim/corpus.hh"
 #include "sim/fuzz.hh"
+#include "sim/sweep.hh"
 #include "trace/coverage.hh"
+#include "workload/workload.hh"
 
 using namespace rix;
 
@@ -158,43 +158,44 @@ TEST(CoverageMap, FingerprintMixesKindAndEvents)
     EXPECT_EQ(failureFingerprint("value", a), failureFingerprint("value", c));
 }
 
-// ---- Zero-overhead attach and per-run determinism -------------------
+// ---- Harvesting coverage from a reused context ---------------------
 
-TEST(CoverageCore, AttachingCoverageNeverChangesSimulation)
+TEST(CoverageCore, UncountedEventWordIsClearedOnReset)
 {
-    const std::vector<ScenarioConfig> pts =
-        fuzzPanel("", "base;integ.mode=reverse");
-    ASSERT_EQ(pts.size(), 1u);
-    RandProgConfig cfg;
-    cfg.itersMin = 30;
-    cfg.itersMax = 60;
-    const Program prog = generateRandomProgram(7, cfg);
+    const std::vector<ScenarioConfig> tiny =
+        fuzzPanel("", "tiny;integ.mode=reverse");
+    const std::vector<ScenarioConfig> base =
+        fuzzPanel("", "base;integ.mode=off");
+    ASSERT_EQ(tiny.size(), 1u);
+    ASSERT_EQ(base.size(), 1u);
+    const Program prog = buildWorkload("gzip", 1);
 
-    Core plain(prog, pts[0].params);
-    plain.run(10'000'000, 50'000'000);
-    ASSERT_TRUE(plain.halted());
-    const CoreStats bare = plain.stats();
+    const auto bitsIn = [](const CoverageMap &m, unsigned first,
+                           unsigned n) {
+        unsigned k = 0;
+        for (unsigned b = first; b < first + n; ++b)
+            k += m.test(b) ? 1 : 0;
+        return k;
+    };
 
-    CoverageMap m1;
-    Core covd(prog, pts[0].params);
-    covd.setCoverage(&m1);
-    covd.run(10'000'000, 50'000'000);
-    ASSERT_TRUE(covd.halted());
-    const CoreStats withCov = covd.stats();
+    SimContext ctx;
+    ctx.run(prog, tiny[0].params, ~u64(0), ~Cycle(0));
+    CoverageMap first;
+    first.harvest(ctx.core());
+    EXPECT_TRUE(first.test(kCovRetireHalt));
+    EXPECT_GT(bitsIn(first, kCovIntegType, 10), 0u);
+    EXPECT_GT(bitsIn(first, kCovBranchEdge, 4), 0u);
 
-    // Bit-identical microarchitectural outcome, coverage on or off.
-    EXPECT_EQ(std::memcmp(&bare, &withCov, sizeof(CoreStats)), 0);
-    EXPECT_GT(m1.popcount(), 0u);
-
-    // Same run, same map — and reset() detaches the previous map.
-    CoverageMap m2;
-    covd.reset(prog, pts[0].params);
-    covd.setCoverage(&m2);
-    covd.run(10'000'000, 50'000'000);
-    EXPECT_TRUE(m1 == m2);
-    covd.reset(prog, pts[0].params);
-    covd.run(10'000'000, 50'000'000); // must not touch m2 (detached)
-    EXPECT_TRUE(m1 == m2);
+    // Integration off: no integration, misintegration or rename-time
+    // redirect event — so a word left over from the first run shows.
+    ctx.run(prog, base[0].params, ~u64(0), ~Cycle(0));
+    CoverageMap second;
+    second.harvest(ctx.core());
+    EXPECT_TRUE(second.test(kCovRetireHalt));
+    EXPECT_EQ(bitsIn(second, kCovIntegType, kCovLispSuppress), 0u);
+    EXPECT_EQ(bitsIn(second, kCovIntegBranch, 1), 0u);
+    EXPECT_EQ(bitsIn(second, kCovRenameRedirect, 1), 0u);
+    EXPECT_EQ(bitsIn(second, kCovMisintLoad, 3), 0u);
 }
 
 // ---- Mutators -------------------------------------------------------

@@ -19,6 +19,8 @@
 #include "base/histogram.hh"
 #include "base/stats.hh"
 #include "cpu/core.hh"
+#include "sim/scenario.hh"
+#include "sim/sweep.hh"
 #include "trace/metrics.hh"
 #include "trace/profiler.hh"
 #include "trace/trace.hh"
@@ -335,38 +337,30 @@ TEST(Trace, KonataFileRoundTrip)
 TEST(Metrics, IntervalsSumToEndOfRunAggregates)
 {
     const Program &prog = cachedProgram("mcf");
-    CoreParams params;
-    Core core(prog, params);
     MetricsRecorder rec(1'000);
-    core.setMetrics(&rec);
-    core.run(100'000, 1'000'000);
+    RunControl ctl;
+    ctl.metrics = &rec;
+    SimContext ctx;
+    const SimReport fin =
+        ctx.run(prog, CoreParams{}, 100'000, 1'000'000, ctl);
 
     ASSERT_GT(rec.intervals().size(), 1u);
-    CoreStats sum{};
-    MetricsMemCounters mem;
+    SimReport sum;
     u64 prevEnd = 0;
     for (const MetricsRecorder::Interval &iv : rec.intervals()) {
         EXPECT_LT(iv.cycleStart, iv.cycleEnd);
-        if (prevEnd) {
-            EXPECT_EQ(iv.cycleStart, prevEnd); // contiguous partition
-        }
+        EXPECT_EQ(iv.cycleStart, prevEnd); // contiguous partition
         prevEnd = iv.cycleEnd;
-        CoreStats::accumulate(sum, iv.delta);
-        mem.l1d += iv.mem.l1d;
-        mem.l1i += iv.mem.l1i;
-        mem.l2 += iv.mem.l2;
-        mem.dtlb += iv.mem.dtlb;
-        mem.itlb += iv.mem.itlb;
+        accumulateReport(sum, iv.delta);
     }
 
-    const CoreStats &fin = core.stats();
-    EXPECT_EQ(memcmp(&sum, &fin, sizeof(CoreStats)), 0);
-    EXPECT_EQ(prevEnd, fin.cycles);
-    EXPECT_EQ(mem.l1d, core.memHierarchy().l1d().misses());
-    EXPECT_EQ(mem.l1i, core.memHierarchy().l1i().misses());
-    EXPECT_EQ(mem.l2, core.memHierarchy().l2().misses());
-    EXPECT_EQ(mem.dtlb, core.memHierarchy().dtlb().misses());
-    EXPECT_EQ(mem.itlb, core.memHierarchy().itlb().misses());
+    EXPECT_EQ(memcmp(&sum.core, &fin.core, sizeof(CoreStats)), 0);
+    EXPECT_EQ(prevEnd, fin.core.cycles);
+    EXPECT_EQ(sum.l1dMisses, fin.l1dMisses);
+    EXPECT_EQ(sum.l1iMisses, fin.l1iMisses);
+    EXPECT_EQ(sum.l2Misses, fin.l2Misses);
+    EXPECT_EQ(sum.dtlbMisses, fin.dtlbMisses);
+    EXPECT_EQ(sum.itlbMisses, fin.itlbMisses);
 }
 
 TEST(Metrics, MetricsDoNotPerturbSimulatedState)
@@ -374,27 +368,31 @@ TEST(Metrics, MetricsDoNotPerturbSimulatedState)
     const Program &prog = cachedProgram("mcf");
     CoreParams params;
 
-    Core off(prog, params);
-    off.run(100'000, 1'000'000);
+    SimContext off;
+    const SimReport a = off.run(prog, params, 100'000, 1'000'000);
 
-    Core on(prog, params);
-    MetricsRecorder rec(777); // deliberately unaligned interval
-    on.setMetrics(&rec);
-    on.run(100'000, 1'000'000);
+    // An unaligned interval plus an armed token that never fires:
+    // metrics edges and 1024-cycle poll edges interleave.
+    MetricsRecorder rec(777);
+    CancelToken token;
+    token.arm(3'600'000);
+    RunControl ctl;
+    ctl.metrics = &rec;
+    ctl.cancel = &token;
+    SimContext on;
+    const SimReport b = on.run(prog, params, 100'000, 1'000'000, ctl);
 
-    const CoreStats &a = off.stats();
-    const CoreStats &b = on.stats();
-    EXPECT_EQ(memcmp(&a, &b, sizeof(CoreStats)), 0);
+    EXPECT_GT(rec.intervals().size(), 1u);
+    EXPECT_EQ(memcmp(&a.core, &b.core, sizeof(CoreStats)), 0);
 }
 
 TEST(Metrics, WriteJsonlRendersOneRowPerInterval)
 {
     const Program &prog = cachedProgram("mcf");
-    CoreParams params;
-    Core core(prog, params);
     MetricsRecorder rec(10'000);
-    core.setMetrics(&rec);
-    core.run(50'000, 500'000);
+    RunControl ctl;
+    ctl.metrics = &rec;
+    SimContext().run(prog, CoreParams{}, 50'000, 500'000, ctl);
     ASSERT_GT(rec.intervals().size(), 0u);
 
     const std::string path =
@@ -485,4 +483,31 @@ TEST(TraceEnvDeathTest, GarbageMetricsEveryIsFatal)
 {
     EnvGuard g("RIX_METRICS_EVERY", "10 thousand");
     EXPECT_DEATH(applyMetricsEnv(MetricsConfig{}), "RIX_METRICS_EVERY");
+}
+
+namespace
+{
+
+// `rix run` applies the same knobs: parsing a traced spec dies naming
+// the bad variable.
+const char kTracedSpec[] = R"json({
+  "name": "traced",
+  "workloads": ["mcf"],
+  "configs": [{"label": "base"}],
+  "trace": {"start": 1000, "count": 20000, "out": "traced.kanata"},
+  "metrics": {"every": 5000, "out": "traced_metrics.jsonl"}
+})json";
+
+} // namespace
+
+TEST(TraceEnvDeathTest, ScenarioZeroTraceCountIsFatal)
+{
+    EnvGuard g("RIX_TRACE_COUNT", "0");
+    EXPECT_DEATH(parseScenario(kTracedSpec), "RIX_TRACE_COUNT");
+}
+
+TEST(TraceEnvDeathTest, ScenarioZeroMetricsEveryIsFatal)
+{
+    EnvGuard g("RIX_METRICS_EVERY", "0");
+    EXPECT_DEATH(parseScenario(kTracedSpec), "RIX_METRICS_EVERY");
 }
