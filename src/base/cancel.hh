@@ -3,13 +3,14 @@
  * Cooperative cancellation for long-running simulation loops.
  *
  * A CancelToken is armed by a job driver (wall-clock deadline, external
- * cancel) and *polled* between steps: by SimContext between the
- * 1024-cycle chunks it runs the detailed core in, and by Emulator::run
- * every 4096 instructions. Nothing is preempted: the loop notices the
+ * cancel) and *polled* by SimContext between the 1024-cycle chunks it
+ * runs the detailed core in. Nothing is preempted: the loop notices the
  * token at its next poll point and stops cleanly, so a runaway or hung
  * job is reaped without aborting the process or corrupting shared
  * state — the fault-containment discipline behind per-job timeouts in
- * the sweep engine and the `rix serve` daemon.
+ * the sweep engine and the `rix serve` daemon. Functional
+ * fast-forward (Emulator::run) is never polled: an instruction count
+ * bounds it.
  *
  * Zero overhead when off: without a token SimContext adds no poll
  * edges, and the core's own cycle loop never sees a token.

@@ -1,6 +1,8 @@
 #include "base/thread_pool.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 #include "base/env.hh"
 #include "base/log.hh"
@@ -28,21 +30,6 @@ ThreadPool::~ThreadPool()
         t.join();
 }
 
-size_t
-ThreadPool::cancelPending()
-{
-    // Swap the queue out under the lock, destroy outside it: dropping
-    // a packaged_task abandons its shared state (broken_promise) and
-    // may run arbitrary captured destructors, which must not happen
-    // while holding the pool mutex.
-    std::queue<std::function<void()>> dropped;
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        dropped.swap(queue);
-    }
-    return dropped.size();
-}
-
 void
 ThreadPool::workerLoop()
 {
@@ -60,6 +47,36 @@ ThreadPool::workerLoop()
         // in the future; nothing escapes into the worker loop.
         task();
     }
+}
+
+void
+parallelFor(unsigned threads, size_t n,
+            const std::function<void(size_t)> &fn)
+{
+    const size_t workers = std::min<size_t>(threads, n);
+    if (workers <= 1) {
+        std::exception_ptr first;
+        for (size_t i = 0; i < n; ++i) {
+            try {
+                fn(i);
+            } catch (...) {
+                if (!first)
+                    first = std::current_exception();
+            }
+        }
+        if (first)
+            std::rethrow_exception(first);
+        return;
+    }
+    std::vector<std::future<void>> pendings;
+    pendings.reserve(n);
+    {
+        ThreadPool pool(static_cast<unsigned>(workers));
+        for (size_t i = 0; i < n; ++i)
+            pendings.push_back(pool.submit([&fn, i]() { fn(i); }));
+    } // the destructor drains: every index has run
+    for (std::future<void> &f : pendings)
+        f.get();
 }
 
 unsigned

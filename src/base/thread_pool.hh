@@ -10,9 +10,10 @@
  * task propagate to the collector instead of killing a worker.
  *
  * The destructor drains the queue: every task submitted before
- * destruction runs to completion, then the workers join. This is the
- * shutdown contract the sweep engine relies on — a pool going out of
- * scope never abandons queued work.
+ * destruction runs to completion, then the workers join — a pool going
+ * out of scope never abandons queued work. parallelFor, the fan-out
+ * every sweep, checkpoint preparation and fuzz campaign goes through,
+ * relies on exactly that; `rix serve` keeps one pool for its lifetime.
  */
 
 #ifndef RIX_BASE_THREAD_POOL_HH
@@ -61,21 +62,6 @@ class ThreadPool
         return fut;
     }
 
-    /**
-     * Drop every queued-but-not-yet-started task. Tasks already
-     * running finish normally; the dropped tasks' futures complete
-     * with std::future_error(broken_promise), which collectors treat
-     * as "skipped". Safe to call concurrently with submit() and with
-     * the destructor's drain (whichever takes the queue lock first
-     * wins each task) — but, like any member call, only while the
-     * object is guaranteed alive: an external thread must not let the
-     * call race the destructor itself. A *task* may always call this
-     * on its own pool; the destructor joins only after every running
-     * task returns.
-     * @return number of tasks dropped.
-     */
-    size_t cancelPending();
-
     unsigned size() const { return unsigned(workers.size()); }
 
   private:
@@ -89,9 +75,20 @@ class ThreadPool
 };
 
 /**
+ * The one fan-out rule: call @p fn(i) once for every i < @p n on
+ * min(@p threads, @p n) workers and wait for all of them. With one
+ * worker (or none) every call runs inline on the calling thread, in
+ * index order — so RIX_JOBS=1 is the serial path everywhere. Every
+ * index runs even if some throw; the first exception in index order
+ * is then rethrown to the caller.
+ */
+void parallelFor(unsigned threads, size_t n,
+                 const std::function<void(size_t)> &fn);
+
+/**
  * Worker count from the environment: RIX_JOBS when set (minimum 1),
- * else std::thread::hardware_concurrency(). RIX_JOBS=1 means "run
- * serially on the calling thread" to every consumer of this knob.
+ * else std::thread::hardware_concurrency(). Fan-outs pass it to
+ * parallelFor, which runs inline on the calling thread at 1.
  */
 unsigned jobsFromEnv();
 

@@ -491,22 +491,9 @@ Emulator::runDecoded(u64 limit)
 }
 
 u64
-Emulator::run(u64 max_steps, const CancelToken *cancel)
+Emulator::run(u64 max_steps)
 {
-    const u64 start = icount;
-    while (!isHalted && !fault_.faulted && icount - start < max_steps) {
-        // The documented cancel-poll bound: the (clock-reading) poll
-        // runs at most once per 4096 executed instructions, between
-        // block batches.
-        if (cancel && cancel->poll() != CancelReason::None)
-            break;
-        u64 chunk = max_steps - (icount - start);
-        if (chunk > 4096)
-            chunk = 4096;
-        if (runDecoded(chunk) == 0)
-            break;
-    }
-    return icount - start;
+    return fault_.faulted ? 0 : runDecoded(max_steps);
 }
 
 } // namespace rix

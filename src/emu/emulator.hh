@@ -15,8 +15,7 @@
  * instead of re-deriving traits, and run() executes whole
  * straight-line basic blocks through a dense handler-indexed dispatch
  * (computed goto under GCC/Clang, a switch elsewhere), checking
- * halt/fault/budget only at block boundaries and polling the cancel
- * token at the documented <= 4096-step granularity. tests/test_decoded.cc
+ * halt/fault/budget only at block boundaries. tests/test_decoded.cc
  * checks both step() and run() against a decode-per-step reference
  * interpreter (tests/reference_interp.hh).
  *
@@ -36,7 +35,6 @@
 #include <vector>
 
 #include "assembler/program.hh"
-#include "base/cancel.hh"
 #include "emu/checkpoint.hh"
 #include "emu/memory.hh"
 
@@ -110,14 +108,11 @@ class Emulator
     void commit(const StepResult &res);
 
     /**
-     * Run until HALT or @p max_steps; returns instructions executed.
-     * When @p cancel is non-null it is polled every 4096 steps and a
-     * fired token stops the run early (the watchdog's grip on
-     * functional fast-forward, which can otherwise spin forever on a
-     * non-halting program). Check halted()/the token to distinguish.
+     * Run until HALT, a text fault or @p max_steps; returns
+     * instructions executed. Uninterruptible: callers bound the work
+     * through @p max_steps.
      */
-    u64 run(u64 max_steps = 100'000'000,
-            const CancelToken *cancel = nullptr);
+    u64 run(u64 max_steps = 100'000'000);
 
     bool halted() const { return isHalted; }
     InstAddr pc() const { return pcReg; }

@@ -14,7 +14,7 @@
 #include "base/env.hh"
 #include "base/log.hh"
 #include "base/stats.hh"
-#include "emu/emulator.hh"
+#include "sim/sampling/checkpoint_cache.hh"
 #include "trace/profiler.hh"
 #include "workload/workload.hh"
 
@@ -375,26 +375,16 @@ Server::submitRun(const std::shared_ptr<Conn> &conn, const ServeRequest &req)
     // part of what the client experiences under load.
     const auto admittedAt = std::chrono::steady_clock::now();
     pool->submit([this, conn, req, admittedAt]() {
-        // One long-lived simulation context per pool worker, exactly
-        // the sweep engine's reuse discipline.
-        thread_local SimContext ctx;
         FaultPolicy policy = opts.policy;
         if (req.hasTimeoutMs)
             policy.timeoutMs = req.timeoutMs;
         if (req.hasRetries)
             policy.retries = req.retries;
-        SimJobResult r;
-        try {
-            r = runJobContained(ctx, req.job, policy,
-                                [this](const SimJob &j) {
-                                    return acquireInputs(j);
-                                });
-        } catch (const std::exception &e) {
-            // runJobContained contains everything; this is the last
-            // line of defense so no exception can kill a pool worker.
-            r.status = JobStatus::Crash;
-            r.error = e.what();
-        }
+        // The sweep engine's job body: the same reused context and
+        // containment, with inputs from the daemon's LRU caches.
+        const SimJobResult r = runJobOnThread(
+            req.job, policy,
+            [this](const SimJob &j) { return acquireInputs(j); });
         // Journal before answering: once the client hears "ok", the
         // result is durable. Failures (worth a resubmit, not a
         // tombstone) are not journaled; a failing append degrades to
@@ -438,17 +428,14 @@ Server::acquireInputs(const SimJob &job)
     });
     if (job.sampled()) {
         // Checkpoints are configuration-independent architectural
-        // state; key on (workload, scale, icount) and build by
-        // functional fast-forward on the pinned program.
+        // state; key on (workload, scale, icount) and build them with
+        // the sweep's builder on the pinned program.
         const std::string ckey =
             pkey + "@" + std::to_string(job.checkpointAt);
         const std::shared_ptr<const Program> prog = in.prog;
         const u64 at = job.checkpointAt;
-        in.from = ckptLru.get(ckey, [&prog, at]() {
-            Emulator emu(*prog);
-            emu.run(at);
-            return emu.snapshot();
-        });
+        in.from = ckptLru.get(
+            ckey, [&prog, at]() { return fastForward(*prog, at).snapshot(); });
     }
     return in;
 }

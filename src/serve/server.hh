@@ -2,9 +2,11 @@
  * @file
  * `rix serve` — a resilient simulation daemon on a Unix-domain socket.
  *
- * Accepts newline-delimited JSON requests (serve/proto.hh), executes
- * simulation jobs fault-contained on the shared ThreadPool, and writes
- * id-matched responses as jobs complete (out of order, pipelined).
+ * Accepts newline-delimited JSON requests (serve/proto.hh), runs each
+ * admitted job on its ThreadPool through the sweep engine's job body
+ * (runJobOnThread: same context reuse, retries and watchdog), and
+ * writes id-matched responses as jobs complete (out of order,
+ * pipelined).
  * The daemon survives anything a job does: divergence, stuck
  * pipelines, timeouts, crashes and injected faults come back as
  * structured statuses on one connection while every other request
@@ -16,8 +18,9 @@
  *    run requests get an immediate "overloaded" response instead of
  *    queueing without limit (explicit backpressure — the client
  *    resubmits);
- *  - bounded memory: programs and checkpoints come from ref-counted
- *    LRU caches under a byte budget (half each), so a long-running
+ *  - bounded memory: programs and checkpoints (built by the sweep's
+ *    fastForward) come from ref-counted LRU caches under a byte
+ *    budget (half each), so a long-running
  *    daemon's footprint stays flat under workload churn while
  *    in-flight jobs pin their inputs against eviction;
  *  - per-job watchdog and retry policy from FaultPolicy (RIX_TIMEOUT_MS

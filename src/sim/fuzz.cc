@@ -1,7 +1,6 @@
 #include "sim/fuzz.hh"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include "base/log.hh"
@@ -302,9 +301,9 @@ struct RunDesc
 };
 
 /**
- * One (program, panel point) simulation. Reuses one long-lived
- * SimContext per worker thread (and one on the calling thread for the
- * serial path), reset per job — the sweep engine's discipline.
+ * One (program, panel point) simulation. Reuses the long-lived
+ * SimContext of whichever thread parallelFor runs it on, reset per
+ * job — the sweep engine's discipline.
  */
 Outcome
 runOne(const FuzzOptions &opts, u64 seed, const RandProgConfig &cfg,
@@ -388,8 +387,7 @@ runFuzz(const FuzzOptions &opts)
     };
 
     const u64 total = opts.seeds * points.size();
-    const unsigned nThreads =
-        unsigned(std::min<u64>(jobsFromEnv(), total));
+    const unsigned nThreads = jobsFromEnv();
 
     if (!guided) {
         // Blind campaign: seeds in order, stop at the first failure.
@@ -398,52 +396,28 @@ runFuzz(const FuzzOptions &opts)
             return RunDesc{opts.firstSeed + i / points.size(),
                            opts.prog, "seed"};
         };
-        if (nThreads <= 1) {
-            for (u64 i = 0; i < total; ++i) {
-                const RunDesc d = blindDesc(i);
-                Outcome o =
-                    runOne(opts, d.seed, d.cfg, points[i % points.size()]);
+        // Batches bound how much work runs past a failure. Within the
+        // failing batch only outcomes up to the failure index are
+        // counted and folded, so runs/truncated/coverage stop at the
+        // first failure for any job count.
+        const u64 batch = std::max<u64>(u64(nThreads) * 8, 32);
+        for (u64 b0 = 0; b0 < total && failIdx == ~u64(0); b0 += batch) {
+            const u64 b1 = std::min(total, b0 + batch);
+            std::vector<Outcome> outs(size_t(b1 - b0));
+            parallelFor(nThreads, outs.size(), [&](size_t k) {
+                const RunDesc d = blindDesc(b0 + k);
+                outs[k] = runOne(opts, d.seed, d.cfg,
+                                 points[(b0 + k) % points.size()]);
+            });
+            for (u64 i = b0; i < b1 && failIdx == ~u64(0); ++i) {
+                Outcome &o = outs[size_t(i - b0)];
                 ++res.runs;
                 res.truncated += o.truncated ? 1 : 0;
                 o.map.orInto(res.coverage);
                 if (o.failed) {
-                    recordFailure(d, size_t(i % points.size()), o);
+                    recordFailure(blindDesc(i), size_t(i % points.size()),
+                                  o);
                     failIdx = i;
-                    break;
-                }
-            }
-        } else {
-            // Batches bound how much work runs past a failure. Within
-            // the failing batch only outcomes up to the failure index
-            // are counted and folded, so runs/truncated/coverage are
-            // identical to the serial break-at-first-failure path for
-            // any job count.
-            ThreadPool pool(nThreads);
-            const u64 batch = std::max<u64>(u64(nThreads) * 8, 32);
-            for (u64 b0 = 0; b0 < total && failIdx == ~u64(0);
-                 b0 += batch) {
-                const u64 b1 = std::min(total, b0 + batch);
-                std::vector<std::future<Outcome>> futs;
-                futs.reserve(size_t(b1 - b0));
-                for (u64 i = b0; i < b1; ++i)
-                    futs.push_back(pool.submit([&opts, &points, i]() {
-                        return runOne(opts,
-                                      opts.firstSeed + i / points.size(),
-                                      opts.prog,
-                                      points[i % points.size()]);
-                    }));
-                for (u64 i = b0; i < b1; ++i) {
-                    Outcome o = futs[size_t(i - b0)].get();
-                    if (failIdx != ~u64(0))
-                        continue; // past the first failure: uncounted
-                    ++res.runs;
-                    res.truncated += o.truncated ? 1 : 0;
-                    o.map.orInto(res.coverage);
-                    if (o.failed) {
-                        const RunDesc d = blindDesc(i);
-                        recordFailure(d, size_t(i % points.size()), o);
-                        failIdx = i;
-                    }
                 }
             }
         }
@@ -461,10 +435,6 @@ runFuzz(const FuzzOptions &opts)
             res.corpusLoaded = corpus.loadDir(opts.corpusDir);
             corpus.unionMap().orInto(res.coverage);
         }
-
-        std::unique_ptr<ThreadPool> pool;
-        if (nThreads > 1)
-            pool = std::make_unique<ThreadPool>(nThreads);
 
         for (u64 g0 = 0, gen = 0; g0 < opts.seeds;
              g0 += kGenSize, ++gen) {
@@ -493,25 +463,11 @@ runFuzz(const FuzzOptions &opts)
             }
 
             std::vector<Outcome> outs(descs.size() * points.size());
-            if (pool) {
-                std::vector<std::future<Outcome>> futs;
-                futs.reserve(outs.size());
-                for (size_t di = 0; di < descs.size(); ++di)
-                    for (size_t pi = 0; pi < points.size(); ++pi)
-                        futs.push_back(pool->submit(
-                            [&opts, &points, &descs, di, pi]() {
-                                return runOne(opts, descs[di].seed,
-                                              descs[di].cfg, points[pi]);
-                            }));
-                for (size_t k = 0; k < futs.size(); ++k)
-                    outs[k] = futs[k].get();
-            } else {
-                for (size_t di = 0; di < descs.size(); ++di)
-                    for (size_t pi = 0; pi < points.size(); ++pi)
-                        outs[di * points.size() + pi] = runOne(
-                            opts, descs[di].seed, descs[di].cfg,
-                            points[pi]);
-            }
+            parallelFor(nThreads, outs.size(), [&](size_t k) {
+                const RunDesc &d = descs[k / points.size()];
+                outs[k] = runOne(opts, d.seed, d.cfg,
+                                 points[k % points.size()]);
+            });
 
             // Generation barrier: fold in program-major, point-minor
             // order; a program's corpus entry carries the union of its

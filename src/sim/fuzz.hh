@@ -4,7 +4,7 @@
  *
  * Runs N seeded random programs (src/workload/randprog.hh) times a
  * panel of core-parameter points (expanded through the scenario grid
- * machinery), in parallel on the sweep thread pool, each checked at
+ * machinery), in parallel through parallelFor, each checked at
  * retirement by the core's DIVA oracle. Any divergence is shrunk by a
  * delta-debugging minimizer — instruction ranges are neutralized to
  * NOPs (code addresses never shift, so branch targets stay valid) and

@@ -2,12 +2,26 @@
 
 #include <stdexcept>
 
-#include "emu/emulator.hh"
 #include "trace/profiler.hh"
 #include "workload/program_cache.hh"
 
 namespace rix
 {
+
+Emulator
+fastForward(const Program &prog, u64 icount, const Checkpoint *seed)
+{
+    Emulator emu(prog);
+    if (seed)
+        emu.restore(*seed);
+    if (icount > emu.instsExecuted()) {
+        ScopedPhase timer(HostPhase::FastForward);
+        emu.run(icount - emu.instsExecuted());
+    }
+    if (emu.faulted())
+        throw std::runtime_error(emu.fault().describe());
+    return emu;
+}
 
 const Checkpoint *
 CheckpointCache::bestReadySeed(const std::string &workload, u64 scale,
@@ -38,17 +52,10 @@ CheckpointCache::get(const std::string &workload, u64 scale, u64 icount)
         slot = s.get();
     }
     std::call_once(slot->once, [&]() {
-        const Program &prog = globalProgramCache().get(workload, scale);
-        Emulator emu(prog);
-        if (const Checkpoint *seed = bestReadySeed(workload, scale, icount))
-            emu.restore(*seed);
-        if (icount > emu.instsExecuted()) {
-            ScopedPhase timer(HostPhase::FastForward);
-            emu.run(icount - emu.instsExecuted());
-        }
-        if (emu.faulted())
-            throw std::runtime_error(emu.fault().describe());
-        slot->ckpt = emu.snapshot(/*diff_vs_image=*/true);
+        slot->ckpt = fastForward(globalProgramCache().get(workload, scale),
+                                 icount,
+                                 bestReadySeed(workload, scale, icount))
+                         .snapshot();
         slot->ready.store(true, std::memory_order_release);
         nBuilds.fetch_add(1, std::memory_order_relaxed);
     });
@@ -67,17 +74,9 @@ CheckpointCache::totalInsts(const std::string &workload, u64 scale, u64 cap)
         slot = s.get();
     }
     std::call_once(slot->once, [&]() {
-        const Program &prog = globalProgramCache().get(workload, scale);
-        Emulator emu(prog);
-        if (const Checkpoint *seed = bestReadySeed(workload, scale, cap))
-            emu.restore(*seed);
-        if (cap > emu.instsExecuted()) {
-            ScopedPhase timer(HostPhase::FastForward);
-            emu.run(cap - emu.instsExecuted());
-        }
-        if (emu.faulted())
-            throw std::runtime_error(emu.fault().describe());
-        slot->insts = emu.instsExecuted();
+        slot->insts = fastForward(globalProgramCache().get(workload, scale),
+                                  cap, bestReadySeed(workload, scale, cap))
+                          .instsExecuted();
     });
     return slot->insts;
 }

@@ -37,9 +37,21 @@
 #include <tuple>
 
 #include "emu/checkpoint.hh"
+#include "emu/emulator.hh"
 
 namespace rix
 {
+
+/**
+ * The one checkpoint builder: an emulator of @p prog placed after
+ * exactly @p icount architectural instructions, or at its HALT if that
+ * comes first. Starts from @p seed (nullable; a checkpoint of @p prog
+ * at or before @p icount) and times the functional fast-forward as
+ * HostPhase::FastForward. Throws std::runtime_error on an emulator
+ * fault. Callers snapshot() the result, or read its count.
+ */
+Emulator fastForward(const Program &prog, u64 icount,
+                     const Checkpoint *seed = nullptr);
 
 class CheckpointCache
 {

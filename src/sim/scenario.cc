@@ -799,28 +799,14 @@ prepareSampledWorkloads(const ScenarioSpec &spec,
         needed[i / jobsPerWorkload] = 1;
 
     std::vector<u64> totals(nWorkloads);
-    const auto prepare = [&](size_t w) {
+    parallelFor(jobsFromEnv(), nWorkloads, [&](size_t w) {
         if (needed[w])
             for (const SamplingInterval &iv : spec.sampling.intervals)
                 globalCheckpointCache().get(spec.workloads[w], spec.scale,
                                             iv.checkpointAt);
         totals[w] = globalCheckpointCache().totalInsts(
             spec.workloads[w], spec.scale, spec.maxRetired);
-    };
-    const unsigned nThreads =
-        unsigned(std::min<size_t>(jobsFromEnv(), nWorkloads));
-    if (nThreads <= 1) {
-        for (size_t w = 0; w < nWorkloads; ++w)
-            prepare(w);
-        return totals;
-    }
-    ThreadPool pool(nThreads);
-    std::vector<std::future<void>> pendings;
-    pendings.reserve(nWorkloads);
-    for (size_t w = 0; w < nWorkloads; ++w)
-        pendings.push_back(pool.submit([&prepare, w]() { prepare(w); }));
-    for (std::future<void> &f : pendings)
-        f.get();
+    });
     return totals;
 }
 

@@ -125,10 +125,16 @@ std::string
 verifyAgainstEmulator(const Program &prog, const CoreParams &params,
                       u64 max_insts, Cycle max_cycles)
 {
-    Core core(prog, params);
-    core.run(max_insts, max_cycles);
-    if (const DivergenceReport *d = core.divergence())
-        return d->format();
+    SimContext ctx;
+    JobFault fault;
+    RunControl ctl;
+    ctl.fault = &fault;
+    ctx.run(prog, params, max_insts, max_cycles, ctl);
+    if (fault.status == JobStatus::Divergence)
+        return fault.divergence.format();
+    if (fault.status != JobStatus::Ok)
+        return fault.message; // stuck: a text fault or the watchdog
+    const Core &core = ctx.core();
     if (!core.halted())
         return strfmt("core did not halt within %llu insts / %llu cycles "
                       "(retired %llu)",

@@ -164,6 +164,23 @@ runJobContained(SimContext &ctx, const SimJob &job,
     }
 }
 
+SimJobResult
+runJobOnThread(const SimJob &job, const FaultPolicy &policy,
+               const JobInputSource &inputs)
+{
+    // Worker-owned without the pool knowing about simulation types;
+    // each context dies with its thread.
+    thread_local SimContext ctx;
+    try {
+        return runJobContained(ctx, job, policy, inputs);
+    } catch (const std::exception &e) {
+        SimJobResult r;
+        r.status = JobStatus::Crash;
+        r.error = e.what();
+        return r;
+    }
+}
+
 SimContext::SimContext() = default;
 SimContext::~SimContext() = default;
 
@@ -341,48 +358,13 @@ SweepRunner::run(const std::vector<SimJob> &jobs, const FaultPolicy &policy,
                  const SweepRetireHook &on_retire)
 {
     std::vector<SimJobResult> results(jobs.size());
-
-    if (nThreads <= 1 || jobs.size() <= 1) {
-        SimContext ctx;
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            results[i] = runJobContained(ctx, jobs[i], policy);
-            if (on_retire)
-                on_retire(i, results[i]);
-        }
-    } else {
-        // One long-lived SimContext per worker thread: thread_local
-        // makes it worker-owned without the pool knowing about
-        // simulation types. The contexts die with the worker threads
-        // when the pool joins.
-        ThreadPool pool(unsigned(std::min<size_t>(nThreads, jobs.size())));
-        std::vector<std::future<void>> pendings;
-        pendings.reserve(jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            pendings.push_back(
-                pool.submit([&jobs, &results, i, &policy, &on_retire]() {
-                    thread_local SimContext ctx;
-                    results[i] = runJobContained(ctx, jobs[i], policy);
-                    // Durability before completion: the job is not
-                    // "done" until its result is journaled.
-                    if (on_retire)
-                        on_retire(i, results[i]);
-                }));
-        }
-        // Containment at the collection layer too: a cancelled task's
-        // broken promise becomes "skipped", anything else unexpected
-        // becomes "crash" — one bad job never voids its neighbours.
-        for (size_t i = 0; i < pendings.size(); ++i) {
-            try {
-                pendings[i].get();
-            } catch (const std::future_error &) {
-                results[i].status = JobStatus::Skipped;
-                results[i].error = "cancelled before starting";
-            } catch (const std::exception &e) {
-                results[i].status = JobStatus::Crash;
-                results[i].error = e.what();
-            }
-        }
-    }
+    parallelFor(nThreads, jobs.size(), [&](size_t i) {
+        results[i] = runJobOnThread(jobs[i], policy);
+        // Durability before completion: the job is not "done" until
+        // its result is journaled.
+        if (on_retire)
+            on_retire(i, results[i]);
+    });
 
     if (policy.strict)
         requireJobsOk(results, [&jobs](size_t i) {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Parallel sweep engine: runs independent simulation jobs (one
- * workload x one machine configuration each) across a fixed-size
- * thread pool and collects their reports in deterministic submission
+ * workload x one machine configuration each) across parallelFor's
+ * workers and collects their reports in deterministic submission
  * order.
  *
  * The paper's figure reproductions are sweeps — every (config,
@@ -11,17 +11,18 @@
  *
  *  - programs come from the process-wide ProgramCache and are shared
  *    read-only by every job (built once per (name, scale));
- *  - each worker thread owns one long-lived SimContext whose Core is
- *    reset() between jobs, reusing the instruction-pool slabs, sparse
- *    memory pages, IT lanes and predictor arrays instead of paying
- *    construction per point;
+ *  - every job runs through one body, runJobOnThread, shared with the
+ *    `rix serve` daemon: each thread owns one long-lived SimContext
+ *    whose Core is reset() between jobs, reusing the instruction-pool
+ *    slabs, sparse memory pages, IT lanes and predictor arrays instead
+ *    of paying construction per point;
  *  - results land in a pre-sized slot per job, so the output vector
  *    order equals the submission order no matter which worker finished
  *    first, and RIX_JOBS=1 vs RIX_JOBS=N outputs are bit-identical.
  *
  * Worker count comes from the RIX_JOBS environment knob (default:
- * hardware concurrency); RIX_JOBS=1 runs everything inline on the
- * calling thread — exactly the historical serial path.
+ * hardware concurrency); with one worker parallelFor runs everything
+ * inline on the calling thread.
  */
 
 #ifndef RIX_SIM_SWEEP_HH
@@ -234,13 +235,20 @@ using JobInputSource = std::function<PinnedJobInputs(const SimJob &)>;
 /**
  * Fault-contained execution of one job on the caller's context:
  * non-fatal validation, watchdog armed from policy.timeoutMs per
- * attempt, transient failures retried with exponential backoff. The
- * building block of both SweepRunner::run(jobs, policy) and the serve
- * daemon's request execution.
+ * attempt, transient failures retried with exponential backoff.
  */
 SimJobResult runJobContained(SimContext &ctx, const SimJob &job,
                              const FaultPolicy &policy,
                              const JobInputSource &inputs = nullptr);
+
+/**
+ * The one job body of sweeps and the serve daemon: runJobContained on
+ * the calling thread's long-lived SimContext. Never throws — an
+ * exception escaping containment becomes a Crash result, so no job can
+ * kill a worker.
+ */
+SimJobResult runJobOnThread(const SimJob &job, const FaultPolicy &policy,
+                            const JobInputSource &inputs = nullptr);
 
 /**
  * Called once per job as it retires from the pool, from whichever
@@ -269,8 +277,8 @@ class SweepRunner
 
     /**
      * Execute every job under @p policy and return results in
-     * submission order; the only job executor (runJobContained per
-     * job). Every job gets a structured status; K failing jobs leave
+     * submission order; the only job executor (runJobOnThread per
+     * job, fanned out by parallelFor). Every job gets a structured status; K failing jobs leave
      * the other N-K results intact. Transient failures (timeouts,
      * injected transients) are retried with exponential backoff up to
      * policy.retries; permanent ones (divergence, stuck, crash) are

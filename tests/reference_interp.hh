@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "base/cancel.hh"
 #include "emu/emulator.hh"
 #include "isa/decoded.hh"
 
@@ -143,18 +142,13 @@ class ReferenceInterp
         return res;
     }
 
-    /** Step until HALT, a fault or @p max_steps; the cancel token is
-     *  polled every 4096 steps, starting before the first. */
+    /** Step until HALT, a fault or @p max_steps. */
     u64
-    run(u64 max_steps = 100'000'000, const CancelToken *cancel = nullptr)
+    run(u64 max_steps = 100'000'000)
     {
         const u64 start = icount;
-        while (!isHalted && !fault_.faulted && icount - start < max_steps) {
-            if (cancel && ((icount - start) & 4095) == 0 &&
-                cancel->poll() != CancelReason::None)
-                break;
+        while (!isHalted && !fault_.faulted && icount - start < max_steps)
             step();
-        }
         return icount - start;
     }
 

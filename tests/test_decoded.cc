@@ -10,12 +10,13 @@
  *    final architectural state (registers, memory, output);
  *  - basic-block boundary cases: branch into the middle of a block,
  *    HALT mid-program, budget expiry inside a straight-line block,
- *    pre-fired cancellation, checkpoint snapshot/restore mid-block;
+ *    checkpoint snapshot/restore mid-block;
  *  - DecodedProgram structural invariants (block lengths, NOP
  *    sentinel, byte accounting, cache copy/invalidations semantics);
  *  - the immutable-text guard: a store landing in the program image
  *    raises a structured EmuFault (identically in the reference) and
- *    is contained by the detailed core as a stuck stop, not a panic.
+ *    is contained by the detailed core as a stuck stop, not a panic,
+ *    and verifyAgainstEmulator names it.
  */
 
 #include <gtest/gtest.h>
@@ -246,20 +247,6 @@ TEST(DecodedBlocks, HaltMidProgramAndWildernessNops)
     EXPECT_FALSE(dec2.halted());
 }
 
-TEST(DecodedBlocks, PreFiredCancelStopsBeforeAnyStep)
-{
-    const Program p = generateRandomProgram(3);
-    CancelToken token;
-    token.arm(0);
-    token.cancel();
-
-    Emulator dec(p);
-    ReferenceInterp ref(p);
-    EXPECT_EQ(dec.run(1'000'000, &token), u64(0));
-    EXPECT_EQ(ref.run(1'000'000, &token), u64(0));
-    expectSameArchState(dec, ref, "pre-fired cancel");
-}
-
 TEST(DecodedBlocks, CheckpointRestoreMidBlock)
 {
     const Program p = generateRandomProgram(11);
@@ -473,6 +460,22 @@ TEST(TextFault, CoreContainsFaultAsStuckStop)
     EXPECT_FALSE(core.halted());
     EXPECT_NE(core.stuckReason().find("text"), std::string::npos);
     EXPECT_TRUE(core.golden().faulted());
+}
+
+TEST(TextFault, VerifyNamesTheFaultNotTheBudget)
+{
+    // A stuck core is reported by its cause: the text fault, not
+    // "did not halt within" the run limits.
+    const std::vector<Instruction> code = {
+        makeRI(Opcode::ADDQI, 2, 31, 5),
+        makeStore(Opcode::STQ, 2, 0, 31),
+        makeHalt(),
+    };
+    const Program p = fromCode(code);
+    const std::string err =
+        verifyAgainstEmulator(p, CoreParams{}, 1'000, 100'000);
+    EXPECT_NE(err.find("text"), std::string::npos) << err;
+    EXPECT_EQ(err.find("did not halt"), std::string::npos) << err;
 }
 
 TEST(TextFaultDeathTest, RunSimulationExitsOnTheStuckStop)

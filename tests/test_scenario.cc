@@ -330,6 +330,15 @@ TEST_F(Scenario, SpecErrorsAreFatal)
                 ::testing::ExitedWithCode(1), "unknown render");
     EXPECT_EXIT(parseScenario("{}"), ::testing::ExitedWithCode(1),
                 "needs a 'grid'");
+    // A valid spec under a zero or garbage RIX_SCALE fails loudly
+    // (historically such values built degenerate workloads).
+    for (const char *bad : {"0", "abc", "4x"}) {
+        setenv("RIX_SCALE", bad, 1);
+        EXPECT_EXIT(parseScenario("{\"workloads\": [\"mcf\"],"
+                                  " \"configs\": [{\"label\": \"a\"}]}"),
+                    ::testing::ExitedWithCode(1), "RIX_SCALE")
+            << "RIX_SCALE=" << bad;
+    }
 }
 
 TEST_F(Scenario, RunMatchesDirectSimulation)

@@ -25,7 +25,9 @@
 #include "base/json.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "sim/sweep.hh"
 #include "store/result_store.hh"
+#include "trace/profiler.hh"
 
 using namespace rix;
 
@@ -303,6 +305,8 @@ TEST(Serve, HundredMixedRequestsFlatMemory)
 
 TEST(Serve, SampledRunsShareCheckpointsAcrossRequests)
 {
+    const bool wasProfiling = hostProfiler().enabled();
+    hostProfiler().setEnabled(true);
     Server server(testOptions("sampled"));
     ASSERT_EQ(server.start(), "");
     ServeClient client;
@@ -311,11 +315,15 @@ TEST(Serve, SampledRunsShareCheckpointsAcrossRequests)
     const std::string req =
         "{\"op\": \"run\", \"workload\": \"gzip\", \"max_retired\": "
         "5000, \"checkpoint_at\": 10000, \"warmup\": 500}";
+    const u64 ffBefore = hostProfiler().calls(HostPhase::FastForward);
     std::string first, second;
     ASSERT_TRUE(client.sendLine(req));
     ASSERT_TRUE(client.recvLine(&first));
     ASSERT_TRUE(client.sendLine(req));
     ASSERT_TRUE(client.recvLine(&second));
+    // One timed checkpoint build, then one LRU hit.
+    EXPECT_EQ(hostProfiler().calls(HostPhase::FastForward) - ffBefore, 1u);
+    hostProfiler().setEnabled(wasProfiling);
     EXPECT_EQ(statusOf(first), "ok");
     // Bit-identical repeat: the checkpoint came from the LRU cache
     // the second time, and the simulated numbers must not notice.
@@ -324,6 +332,17 @@ TEST(Serve, SampledRunsShareCheckpointsAcrossRequests)
               numberField(second, "retired"));
     EXPECT_EQ(numberField(first, "cycles"),
               numberField(second, "cycles"));
+
+    // Serve and sweeps build the same checkpoint: the served answer
+    // equals the sweep engine's for the same job.
+    SimJob job;
+    job.workload = "gzip";
+    job.maxRetired = 5000;
+    job.checkpointAt = 10000;
+    job.warmup = 500;
+    const std::vector<SimJobResult> swept = SweepRunner(1).run({job});
+    EXPECT_EQ(numberField(first, "cycles"),
+              double(swept[0].report.core.cycles));
 
     server.requestShutdown();
     server.waitShutdown();

@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the fixed-size thread pool behind the sweep engine:
- * submission-order result collection, exception propagation through
- * futures, drain-on-destruction shutdown, and the RIX_JOBS knob.
+ * Unit tests for the fixed-size thread pool and parallelFor, the one
+ * fan-out rule: submission-order result collection, exception
+ * propagation through futures, drain-on-destruction shutdown, inline
+ * execution with one worker, and the RIX_JOBS knob.
  */
 
 #include <gtest/gtest.h>
@@ -91,76 +92,65 @@ TEST(ThreadPool, ConcurrentExceptionsReachTheirOwnFutures)
     }
 }
 
-TEST(ThreadPool, CancelPendingBreaksFuturesOfDroppedTasks)
+TEST(ParallelFor, OneThreadRunsInlineInIndexOrder)
 {
-    ThreadPool pool(1);
-    std::atomic<bool> started{false}, release{false};
-    std::atomic<int> ran{0};
-    // Occupy the only worker so everything behind it stays queued.
-    auto gate = pool.submit([&]() {
-        started.store(true);
-        while (!release.load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        return 0;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    bool allInline = true;
+    parallelFor(1, 50, [&](size_t i) {
+        order.push_back(i);
+        allInline = allInline && std::this_thread::get_id() == caller;
     });
-    // Wait until the worker actually holds the gate task; otherwise
-    // cancelPending() could legitimately drop the gate itself.
-    while (!started.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::vector<std::future<int>> queued;
-    for (int i = 0; i < 8; ++i)
-        queued.push_back(pool.submit([&ran, i]() {
-            ran.fetch_add(1);
-            return i;
-        }));
-
-    const size_t dropped = pool.cancelPending();
-    release.store(true);
-    EXPECT_EQ(gate.get(), 0);
-    EXPECT_EQ(dropped, 8u);
-    EXPECT_EQ(ran.load(), 0);
-    // Dropped tasks' futures complete exceptionally (broken promise),
-    // never block: a collector sees "skipped", not a hang.
-    for (auto &f : queued)
-        EXPECT_THROW(f.get(), std::future_error);
-
-    // The pool remains fully usable after a cancellation.
-    auto after = pool.submit([]() { return 5; });
-    EXPECT_EQ(after.get(), 5);
+    EXPECT_TRUE(allInline);
+    ASSERT_EQ(order.size(), 50u);
+    for (size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, CancelDuringDestructorDrainIsRaceFree)
+TEST(ParallelFor, EveryIndexRunsExactlyOnce)
 {
-    // Hammer the cancel/drain race: cancelPending() runs concurrently
-    // with the destructor draining the queue. The cancel is issued
-    // from a task *on the pool* — unlike an external thread, a running
-    // task cannot outlive the object (the destructor joins only after
-    // every in-flight task returns), so this is the strongest race
-    // the API actually permits. Whatever the interleaving, every
-    // future must complete — by value or by broken promise — and
-    // nothing may crash or hang.
-    for (int round = 0; round < 20; ++round) {
-        std::vector<std::future<int>> futs;
-        std::future<size_t> dropped;
-        {
-            ThreadPool pool(2);
-            dropped = pool.submit(
-                [&pool]() { return pool.cancelPending(); });
-            for (int i = 0; i < 32; ++i)
-                futs.push_back(pool.submit([i]() { return i; }));
-            // Pool destructor drains here, racing the cancel task.
+    std::vector<std::atomic<int>> hits(100);
+    parallelFor(4, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ParallelFor, ExceptionArrivesAfterEveryOtherIndexFinished)
+{
+    // Index 3 throws at once; the others are slow. The exception must
+    // not reach the caller while any other index is still running.
+    for (unsigned threads : {1u, 4u}) {
+        std::atomic<int> finished{0};
+        try {
+            parallelFor(threads, 16, [&](size_t i) {
+                if (i == 3)
+                    throw std::runtime_error("index 3");
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                finished.fetch_add(1);
+            });
+            FAIL() << "index 3 should have thrown";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()), "index 3");
         }
-        int delivered = 0, broken = 0;
-        for (auto &f : futs) {
-            try {
-                f.get();
-                ++delivered;
-            } catch (const std::future_error &) {
-                ++broken;
+        EXPECT_EQ(finished.load(), 15) << threads << " threads";
+    }
+}
+
+TEST(ParallelFor, FirstExceptionInIndexOrderWins)
+{
+    try {
+        parallelFor(4, 32, [](size_t i) {
+            if (i == 20)
+                throw std::runtime_error("late");
+            if (i == 7) {
+                // Thrown after index 20's, but earlier in index order.
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                throw std::runtime_error("early");
             }
-        }
-        EXPECT_EQ(delivered + broken, 32);
-        EXPECT_EQ(size_t(broken), dropped.get());
+        });
+        FAIL() << "parallelFor should have thrown";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()), "early");
     }
 }
 
