@@ -85,16 +85,12 @@ usage(FILE *out)
             "  the jobs missing from the journal are re-run, and the\n"
             "  merged render is bit-identical to an uninterrupted run\n"
             "\n"
-            "compare options (A = baseline store, B = candidate store):\n"
-            "  --tolerance F      allowed fractional aggregate-KIPS drift\n"
-            "                     (default 0.25)\n"
-            "  --sim-only         gate simulated fields only, skip the\n"
-            "                     throughput tier\n"
+            "compare options (A = baseline store, B = candidate store;\n"
+            "simulated fields only, wall time is not compared):\n"
             "  --require-complete demand every job journaled ok in both\n"
-            "  --out FILE         trajectory destination (default stdout)\n"
-            "  exit status: 0 identical within tolerance; 1 throughput\n"
-            "  drift; 2 simulated-field divergence; 3 operational error\n"
-            "  (including usage — 2 always means divergence)\n"
+            "  exit status: 0 identical; 2 simulated-field divergence;\n"
+            "  3 operational error (including usage — 2 always means\n"
+            "  divergence)\n"
             "\n"
             "fuzz options:\n"
             "  --seeds N        random programs to run (default 100)\n"
@@ -426,35 +422,10 @@ cmdCompare(int argc, char **argv)
     // is the divergence verdict and must stay unambiguous for CI.
     const char *pathA = nullptr;
     const char *pathB = nullptr;
-    const char *outPath = nullptr;
     rix::CompareOptions opts;
     for (int i = 0; i < argc; ++i) {
-        if (strcmp(argv[i], "--sim-only") == 0) {
-            opts.simOnly = true;
-        } else if (strcmp(argv[i], "--require-complete") == 0) {
+        if (strcmp(argv[i], "--require-complete") == 0) {
             opts.requireComplete = true;
-        } else if (strcmp(argv[i], "--tolerance") == 0) {
-            if (i + 1 >= argc) {
-                fprintf(stderr, "rix compare: --tolerance needs a "
-                                "number argument\n");
-                return 3;
-            }
-            char *end = nullptr;
-            opts.tolerance = strtod(argv[++i], &end);
-            if (!end || *end != '\0' || end == argv[i] ||
-                !(opts.tolerance >= 0)) {
-                fprintf(stderr, "rix compare: --tolerance wants a "
-                                "non-negative number, got '%s'\n",
-                        argv[i]);
-                return 3;
-            }
-        } else if (strcmp(argv[i], "--out") == 0) {
-            if (i + 1 >= argc) {
-                fprintf(stderr,
-                        "rix compare: --out needs a file argument\n");
-                return 3;
-            }
-            outPath = argv[++i];
         } else if (argv[i][0] == '-') {
             fprintf(stderr, "rix compare: unknown option '%s'\n",
                     argv[i]);
@@ -474,18 +445,7 @@ cmdCompare(int argc, char **argv)
                         "candidate store\n");
         return 3;
     }
-    FILE *out = stdout;
-    if (outPath) {
-        out = fopen(outPath, "w");
-        if (!out) {
-            fprintf(stderr, "rix compare: cannot write '%s'\n", outPath);
-            return 3;
-        }
-    }
-    const int rc = rix::compareStores(pathA, pathB, opts, out);
-    if (out != stdout)
-        fclose(out);
-    return rc;
+    return rix::compareStores(pathA, pathB, opts);
 }
 
 int
@@ -528,9 +488,12 @@ cmdFuzz(int argc, char **argv)
             opts.guided = true;
         } else if (arg == "--explore") {
             const char *v = needValue("--explore");
-            char *end = nullptr;
-            const unsigned long pct = strtoul(v, &end, 10);
-            if (!end || *end != '\0' || end == v || pct > 100) {
+            // Digits only: strtoul alone would also take " 50", "+50"
+            // and "-0".
+            const size_t len = strlen(v);
+            const bool digits = len && strspn(v, "0123456789") == len;
+            const unsigned long pct = digits ? strtoul(v, nullptr, 10) : 0;
+            if (!digits || pct > 100) {
                 fprintf(stderr, "rix fuzz: --explore wants a percentage "
                                 "0-100, got '%s'\n", v);
                 return 2;

@@ -1,8 +1,7 @@
 #include "store/compare.hh"
 
-#include <cmath>
+#include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -56,7 +55,7 @@ loadView(const std::string &path, StoreView *v)
  * block (plain u64s, no padding — pinned by the static_assert in
  * core_stats.hh, so memcmp is exact), the substrate miss counters,
  * and the halted flag. Wall time is deliberately excluded: it is
- * host noise, the drift tier's business.
+ * host noise, and timing lives in benchmark/.
  */
 bool
 simFieldsIdentical(const SimReport &a, const SimReport &b)
@@ -95,69 +94,12 @@ describeDiff(const SimReport &a, const SimReport &b, size_t limit)
     return s.empty() ? " (differs)" : s;
 }
 
-/** Sums over one store's share of the common jobs. */
-struct Totals
-{
-    u64 retired = 0;
-    u64 cycles = 0;
-    double wall = 0.0;
-
-    void
-    add(const SimJobResult &r)
-    {
-        retired += r.report.core.retired;
-        cycles += r.report.core.cycles;
-        wall += r.wallSeconds;
-    }
-
-    double kips() const { return wall > 0 ? retired / wall / 1e3 : 0.0; }
-    double ipc() const { return cycles ? double(retired) / cycles : 0.0; }
-};
-
-/**
- * One store's throughput over the common jobs, in the
- * BENCH_throughput.json trajectory shape: one line per workload plus
- * an "aggregate" line, each tagged with the producing revision.
- */
-void
-renderTrajectory(const StoreView &v, const std::vector<size_t> &common,
-                 FILE *out)
-{
-    const char *rev = v.store->meta().gitRev.c_str();
-    std::map<std::string, Totals> perBench; // sorted, so stable output
-    Totals agg;
-    for (size_t i : common) {
-        const StoreRecord &r = *v.byIndex[i];
-        perBench[r.result.report.workload].add(r.result);
-        agg.add(r.result);
-    }
-    for (const auto &kv : perBench)
-        fprintf(out,
-                "{\"bench\": \"%s\", \"rev\": \"%s\", \"kips\": %.1f, "
-                "\"cycles\": %llu, \"retired\": %llu, \"ipc\": %.4f, "
-                "\"wall_s\": %.3f}\n",
-                kv.first.c_str(), rev, kv.second.kips(),
-                (unsigned long long)kv.second.cycles,
-                (unsigned long long)kv.second.retired, kv.second.ipc(),
-                kv.second.wall);
-    fprintf(out,
-            "{\"bench\": \"aggregate\", \"rev\": \"%s\", \"kips\": %.1f, "
-            "\"cycles\": %llu, \"retired\": %llu, \"ipc\": %.4f, "
-            "\"wall_s\": %.3f, \"jobs\": %zu}\n",
-            rev, agg.kips(), (unsigned long long)agg.cycles,
-            (unsigned long long)agg.retired, agg.ipc(), agg.wall,
-            common.size());
-}
-
 } // namespace
 
 int
 compareStores(const std::string &path_a, const std::string &path_b,
-              const CompareOptions &opts, FILE *out)
+              const CompareOptions &opts)
 {
-    if (!out)
-        out = stdout;
-
     StoreView a, b;
     if (!loadView(path_a, &a) || !loadView(path_b, &b))
         return 3;
@@ -206,11 +148,7 @@ compareStores(const std::string &path_a, const std::string &path_b,
                         "both stores (%zu missing from one side)\n",
                 common.size(), missing);
 
-    renderTrajectory(a, common, out);
-    renderTrajectory(b, common, out);
-    fflush(out);
-
-    // Tier 1: simulated fields must be bit-identical per job.
+    // Simulated fields must be bit-identical per job.
     size_t divergences = 0;
     for (size_t i : common) {
         const StoreRecord &ra = *a.byIndex[i], &rb = *b.byIndex[i];
@@ -241,32 +179,10 @@ compareStores(const std::string &path_a, const std::string &path_b,
         return 2;
     }
 
-    // Tier 2: aggregate throughput drift.
-    Totals ta, tb;
-    for (size_t i : common) {
-        ta.add(a.byIndex[i]->result);
-        tb.add(b.byIndex[i]->result);
-    }
-    if (opts.simOnly) {
-        fprintf(stderr, "rix compare: %zu jobs bit-identical in every "
-                        "simulated field (%s -> %s; --sim-only, "
-                        "throughput not gated)\n",
-                common.size(), ma.gitRev.c_str(), mb.gitRev.c_str());
-        return 0;
-    }
-    if (ta.wall <= 0 || tb.wall <= 0) {
-        fprintf(stderr, "rix compare: stored wall times are zero — "
-                        "cannot gate throughput\n");
-        return 3;
-    }
-    const double drift = (tb.kips() - ta.kips()) / ta.kips();
-    fprintf(stderr,
-            "rix compare: %zu jobs bit-identical in every simulated "
-            "field; aggregate %.1f -> %.1f KIPS (%+.1f%%, tolerance "
-            "%.0f%%) (%s -> %s)\n",
-            common.size(), ta.kips(), tb.kips(), 100 * drift,
-            100 * opts.tolerance, ma.gitRev.c_str(), mb.gitRev.c_str());
-    return std::fabs(drift) > opts.tolerance ? 1 : 0;
+    fprintf(stderr, "rix compare: %zu jobs bit-identical in every "
+                    "simulated field (%s -> %s)\n",
+            common.size(), ma.gitRev.c_str(), mb.gitRev.c_str());
+    return 0;
 }
 
 } // namespace rix

@@ -3,32 +3,20 @@
  * `rix compare` — the regression gate over two journaled sweeps.
  *
  * Two result stores of the *same* sweep (equal spec hash, so their
- * job indices line up) produced by two revisions are diffed in two
- * tiers:
+ * job indices line up) produced by two revisions must agree
+ * bit-identically per job in every simulated field: the raw CoreStats
+ * counters, the substrate miss counters and the halted flag. Wall time
+ * is host noise and is not compared; timing lives in benchmark/
+ * (`benchmark/run.py --ab`).
  *
- *  - simulated fields (the raw CoreStats counters, the substrate
- *    miss counters, the halted flag) must be bit-identical per job —
- *    any difference is a simulation regression, exit 2;
- *  - throughput (aggregate KIPS over the common jobs) may drift with
- *    the host and the build, so it gates only beyond a configurable
- *    fractional tolerance, exit 1.
- *
- * Alongside the verdict, compare renders both sweeps' throughput in
- * the BENCH_throughput.json trajectory format (one JSON line per
- * workload plus an "aggregate" line, each tagged with the store's
- * revision), so a CI history of compare outputs is a throughput
- * trajectory across revisions.
- *
- * Exit codes: 0 identical (within tolerance), 1 throughput drift,
- * 2 simulated-field divergence, 3 operational error (unreadable or
- * mismatched stores, no comparable jobs, --require-complete unmet).
- * Divergence dominates drift.
+ * Exit codes: 0 identical, 2 simulated-field divergence, 3 operational
+ * error (unreadable or mismatched stores, no comparable jobs,
+ * --require-complete unmet).
  */
 
 #ifndef RIX_STORE_COMPARE_HH
 #define RIX_STORE_COMPARE_HH
 
-#include <cstdio>
 #include <string>
 
 namespace rix
@@ -36,11 +24,6 @@ namespace rix
 
 struct CompareOptions
 {
-    /** Allowed fractional aggregate-KIPS drift (0.25 = 25%). */
-    double tolerance = 0.25;
-    /** Gate on simulated fields only — skip the throughput tier
-     *  entirely (noisy shared CI hosts). */
-    bool simOnly = false;
     /** Demand every expanded job journaled ok in both stores;
      *  otherwise only the intersection is compared. */
     bool requireComplete = false;
@@ -48,12 +31,11 @@ struct CompareOptions
 
 /**
  * Diff the sweeps journaled at @p path_a (baseline) and @p path_b
- * (candidate), writing the throughput trajectory to @p out (nullptr:
- * stdout) and diagnostics to stderr.
+ * (candidate), writing diagnostics to stderr.
  * @return the process exit code (see file comment).
  */
 int compareStores(const std::string &path_a, const std::string &path_b,
-                  const CompareOptions &opts, FILE *out);
+                  const CompareOptions &opts);
 
 } // namespace rix
 

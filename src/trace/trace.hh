@@ -34,8 +34,8 @@
  * Zero-overhead when off: the Core holds a null sink pointer and pays
  * one pointer test per retired instruction. Tracing never touches simulated state; cycles,
  * retired counts and every other CoreStats field are bit-identical
- * with tracing on or off (enforced by tests/test_trace.cc and the CI
- * zero-overhead guard).
+ * with tracing on or off (enforced by tests/test_trace.cc and the
+ * cli.zero_overhead drill).
  */
 
 #ifndef RIX_TRACE_TRACE_HH
