@@ -1,14 +1,11 @@
 /**
  * @file
- * Shared infrastructure for the benchmark binaries.
- *
- * Since PR 3 the four figure reproductions are *scenario specs* under
- * examples/scenarios/, replayed by the scenario subsystem (see
- * src/sim/scenario.hh and the `rix` CLI); their bench binaries are
- * one-line wrappers. This header keeps the helpers the remaining
- * hand-written benches (throughput, ablations, micro) still use: the
- * environment knobs, single-run and sweep front ends, and the table
- * printing utilities.
+ * Shared infrastructure for the hand-written benchmark binaries
+ * (throughput, functional, sampled, ablations, micro): the environment
+ * knobs, single-run and sweep front ends, and the table printing
+ * utilities. The paper's figures are scenario specs under
+ * examples/scenarios/, run with `rix run` (see src/sim/scenario.hh);
+ * specs read no environment.
  *
  * Environment knobs (validated; 0 or garbage is fatal, not silent):
  *   RIX_SCALE  workload scale factor (default 1; paper-like curves
@@ -21,15 +18,17 @@
 #ifndef RIX_BENCH_COMMON_HH
 #define RIX_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "base/env.hh"
 #include "sim/figures.hh"
-#include "sim/scenario.hh"
 #include "sim/sweep.hh"
 #include "workload/program_cache.hh"
+#include "workload/workload.hh"
 
 namespace rixbench
 {
@@ -47,11 +46,50 @@ scaleFromEnv()
     return envPositiveCount("RIX_SCALE", 1);
 }
 
-/** The RIX_BENCH selection (validated), default: every workload. */
+/**
+ * The RIX_BENCH selection, validated against the registry (an unknown
+ * name, or a value selecting nothing, is fatal); default: every
+ * workload.
+ */
 inline std::vector<std::string>
 benchList()
 {
-    return workloadSelectionFromEnv(workloadNames());
+    const std::vector<std::string> all = workloadNames();
+    const char *sel = getenv("RIX_BENCH");
+    if (!sel)
+        return all;
+    std::vector<std::string> out;
+    std::string cur;
+    for (const char *p = sel;; ++p) {
+        if (*p == ',' || *p == '\0') {
+            if (!cur.empty())
+                out.push_back(cur);
+            cur.clear();
+            if (*p == '\0')
+                break;
+        } else {
+            cur += *p;
+        }
+    }
+    // A selection that names no valid workload would silently run an
+    // empty (or full) set; reject unknown names loudly instead.
+    for (const std::string &name : out) {
+        if (std::find(all.begin(), all.end(), name) == all.end()) {
+            fprintf(stderr,
+                    "RIX_BENCH: unknown workload '%s'; valid names:",
+                    name.c_str());
+            for (const auto &n : all)
+                fprintf(stderr, " %s", n.c_str());
+            fprintf(stderr, "\n");
+            exit(1);
+        }
+    }
+    if (out.empty()) {
+        fprintf(stderr,
+                "RIX_BENCH is set but selects no workloads ('%s')\n", sel);
+        exit(1);
+    }
+    return out;
 }
 
 /** The shared read-only program for @p name at the RIX_SCALE scale. */

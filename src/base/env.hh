@@ -19,7 +19,7 @@ namespace rix
 
 /**
  * Parse @p text as a strictly positive decimal count.
- * @param what  name used in the diagnostic (e.g. "RIX_SCALE")
+ * @param what  name used in the diagnostic (e.g. "RIX_JOBS")
  * Fatal on empty input, non-digits, trailing junk, zero, or overflow.
  */
 u64 parsePositiveCount(const char *what, const char *text);

@@ -7,8 +7,8 @@
  * grid of machine-configuration overrides; rix expands it, executes it
  * across the RIX_JOBS thread pool, and renders the results (generic
  * JSON-lines/CSV stat rows, or one of the built-in paper-figure
- * tables). The committed specs under examples/scenarios/ reproduce
- * the four figure benches bit-identically.
+ * tables). The committed specs under examples/scenarios/ are the
+ * paper's figures 4-7.
  */
 
 #include <algorithm>
@@ -54,8 +54,7 @@ usage(FILE *out)
             "run options (strictly positive integers; garbage is fatal):\n"
             "  --jobs N     simulation worker threads (overrides RIX_JOBS;\n"
             "               1 = serial)\n"
-            "  --scale S    workload scale factor (overrides RIX_SCALE and\n"
-            "               the spec)\n"
+            "  --scale S    workload scale factor (overrides the spec)\n"
             "  --store FILE journal every completed job into a new\n"
             "               crash-recoverable result store (file must not\n"
             "               exist; jsonl/csv renders only)\n"
@@ -130,29 +129,44 @@ usage(FILE *out)
             "  with bounded exponential backoff, resending only the\n"
             "  unanswered requests (at-least-once execution)\n"
             "\n"
-            "environment (legacy overrides, validated):\n"
-            "  RIX_SCALE       workload scale factor (overrides the spec)\n"
-            "  RIX_BENCH       comma-separated workload subset\n"
+            "environment (validated):\n"
             "  RIX_JOBS        simulation worker threads (default:\n"
             "                  hardware concurrency; 1 = serial)\n"
             "  RIX_TIMEOUT_MS  per-job wall-clock watchdog (0 = off)\n"
             "  RIX_RETRIES     retry budget for transient failures\n"
             "                  (default 2)\n"
-            "  RIX_CACHE_BYTES serve cache budget\n"
-            "  RIX_QUEUE_DEPTH serve admission bound\n"
             "  RIX_STORE_DIR   serve: journal every completed run into a\n"
             "                  result store under this directory (must\n"
             "                  exist, be a directory, and be writable)\n"
-            "  RIX_TRACE       scenario runs: enable tracing to this\n"
-            "                  file (a .jsonl suffix selects JSON lines,\n"
-            "                  anything else Konata text)\n"
-            "  RIX_TRACE_START first retired instruction to trace\n"
-            "  RIX_TRACE_COUNT trace window length (strictly positive)\n"
-            "  RIX_METRICS_EVERY scenario runs: enable interval metrics\n"
-            "                  every N simulated cycles (positive)\n"
             "\n"
             "spec format: see examples/scenarios/*.json and README.md\n");
     return out == stderr ? 2 : 0;
+}
+
+/** The --out FILE render destination, opened before the run so an
+ *  unwritable path fails fast; stdout without --out. */
+FILE *
+openOut(const char *cmd, const char *path)
+{
+    if (!path)
+        return stdout;
+    FILE *out = fopen(path, "w");
+    if (!out)
+        fprintf(stderr, "%s: cannot write '%s'\n", cmd, path);
+    return out;
+}
+
+/** Close openOut's destination and return the exit code: @p rc, or 1
+ *  naming the destination when the render (rc 1) or the close failed. */
+int
+closeOut(const char *cmd, const char *path, FILE *out, int rc)
+{
+    if (out != stdout && fclose(out) != 0)
+        rc = 1;
+    if (rc == 1)
+        fprintf(stderr, "%s: write failed on '%s'\n", cmd,
+                path ? path : "stdout");
+    return rc;
 }
 
 int
@@ -161,6 +175,7 @@ cmdRun(int argc, char **argv)
     const char *specPath = nullptr;
     const char *outPath = nullptr;
     const char *storePath = nullptr;
+    rix::u64 scale = 0; // 0: the spec's own
     bool strict = false;
     for (int i = 0; i < argc; ++i) {
         if (strcmp(argv[i], "--strict") == 0) {
@@ -180,21 +195,22 @@ cmdRun(int argc, char **argv)
             storePath = argv[++i];
         } else if (strcmp(argv[i], "--jobs") == 0 ||
                    strcmp(argv[i], "--scale") == 0) {
-            // Same strict-positive contract as the RIX_* knobs: zero
-            // or garbage is fatal, naming the flag. The validated
-            // value is pushed into the environment variable it
-            // overrides, so every downstream reader (spec parsing,
-            // SweepRunner) sees one consistent setting.
+            // Strictly positive: zero or garbage is fatal, naming the
+            // flag. --jobs is pushed into RIX_JOBS, which every
+            // fan-out reads; --scale overrides the parsed spec.
             const bool jobs = argv[i][2] == 'j';
             if (i + 1 >= argc) {
                 fprintf(stderr, "rix run: %s needs a positive integer "
                         "argument\n", argv[i]);
                 return 2;
             }
-            const char *flag = jobs ? "rix run --jobs" : "rix run --scale";
-            rix::parsePositiveCount(flag, argv[i + 1]);
-            setenv(jobs ? "RIX_JOBS" : "RIX_SCALE", argv[++i],
-                   /*overwrite=*/1);
+            if (jobs) {
+                rix::parsePositiveCount("rix run --jobs", argv[i + 1]);
+                setenv("RIX_JOBS", argv[++i], /*overwrite=*/1);
+            } else {
+                scale = rix::parsePositiveCount("rix run --scale",
+                                                argv[++i]);
+            }
         } else if (argv[i][0] == '-') {
             fprintf(stderr, "rix run: unknown option '%s'\n", argv[i]);
             return 2;
@@ -210,14 +226,13 @@ cmdRun(int argc, char **argv)
         return 2;
     }
 
-    FILE *out = stdout;
-    if (outPath) {
-        out = fopen(outPath, "w");
-        if (!out) {
-            fprintf(stderr, "rix run: cannot write '%s'\n", outPath);
-            return 1;
-        }
-    }
+    FILE *out = openOut("rix run", outPath);
+    if (!out)
+        return 1;
+    const std::string text = rix::readScenarioFile(specPath);
+    rix::ScenarioSpec spec = rix::parseScenario(text);
+    if (scale)
+        spec.scale = scale;
     // Fault-contained by default for the row renders: K failing jobs
     // leave the other N-K rows intact, each row carrying its status.
     // --strict dies once every job finished, naming the first failure;
@@ -226,12 +241,11 @@ cmdRun(int argc, char **argv)
     // budget (strictly validated).
     const rix::FaultPolicy policy = rix::FaultPolicy::fromEnv(strict);
     const int rc =
-        storePath
-            ? rix::runScenarioFileStored(specPath, storePath, out, policy)
-            : rix::runScenarioFile(specPath, out, policy);
-    if (out != stdout)
-        fclose(out);
-    return rc;
+        storePath ? rix::runScenarioFileStored(text, spec, storePath, out,
+                                               policy)
+                  : rix::renderScenarioBuffered(
+                        spec, rix::runScenario(spec, policy), out);
+    return closeOut("rix run", outPath, out, rc);
 }
 
 int
@@ -240,6 +254,7 @@ cmdTrace(int argc, char **argv)
     rix::TraceConfig tcfg;
     tcfg.enabled = true;
     rix::MetricsConfig mcfg;
+    rix::SimJob job;
     rix::u64 maxRetired = 0; // 0: bounded by the trace window
     const char *workload = nullptr;
     for (int i = 0; i < argc; ++i) {
@@ -253,9 +268,8 @@ cmdTrace(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--scale") {
-            const char *v = needValue("--scale");
-            rix::parsePositiveCount("rix trace --scale", v);
-            setenv("RIX_SCALE", v, /*overwrite=*/1);
+            job.scale = rix::parsePositiveCount("rix trace --scale",
+                                                needValue("--scale"));
         } else if (arg == "--start") {
             tcfg.start = rix::parseNonNegativeCount("rix trace --start",
                                                     needValue("--start"));
@@ -303,9 +317,7 @@ cmdTrace(int argc, char **argv)
         return 2;
     }
 
-    rix::SimJob job;
     job.workload = workload;
-    job.scale = rix::envPositiveCount("RIX_SCALE", 1);
     if (maxRetired) {
         job.maxRetired = maxRetired;
     } else if (tcfg.end() != ~rix::u64(0) && tcfg.end() < job.maxRetired) {
@@ -332,6 +344,11 @@ cmdTrace(int argc, char **argv)
         rix::SweepRunner().run(jobs);
     const rix::SimReport &rep = results[0].report;
 
+    const std::string terr = counters->close();
+    if (!terr.empty()) {
+        fprintf(stderr, "rix trace: %s\n", terr.c_str());
+        return 1;
+    }
     if (job.metrics) {
         std::string merr;
         if (!job.metrics->writeJsonl(mcfg.out,
@@ -398,21 +415,13 @@ cmdResume(int argc, char **argv)
         fprintf(stderr, "rix resume: missing store file\n");
         return 2;
     }
-    FILE *out = stdout;
-    if (outPath) {
-        out = fopen(outPath, "w");
-        if (!out) {
-            fprintf(stderr, "rix resume: cannot write '%s'\n", outPath);
-            return 1;
-        }
-    }
-    // No --scale / RIX_SCALE override: the store pins the resolved
-    // scale and workloads, resume reinstalls them itself.
+    FILE *out = openOut("rix resume", outPath);
+    if (!out)
+        return 1;
+    // No --scale: the store pins the resolved scale and workloads.
     const rix::FaultPolicy policy = rix::FaultPolicy::fromEnv(false);
-    const int rc = rix::resumeStoreFile(storePath, out, policy, opts);
-    if (out != stdout)
-        fclose(out);
-    return rc;
+    return closeOut("rix resume", outPath, out,
+                    rix::resumeStoreFile(storePath, out, policy, opts));
 }
 
 int
@@ -559,7 +568,8 @@ cmdFuzz(int argc, char **argv)
 int
 cmdServe(int argc, char **argv)
 {
-    // Environment first (fatal on garbage), flags override.
+    // Environment first (fatal on garbage): the fault policy and
+    // RIX_STORE_DIR, which have no flag.
     rix::ServeOptions opts = rix::ServeOptions::fromEnv();
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];

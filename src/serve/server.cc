@@ -11,7 +11,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "base/env.hh"
 #include "base/log.hh"
 #include "base/stats.hh"
 #include "sim/sampling/checkpoint_cache.hh"
@@ -82,10 +81,6 @@ ServeOptions::fromEnv()
 {
     ServeOptions o;
     o.policy = FaultPolicy::fromEnv();
-    o.cacheBytes = size_t(envPositiveCount("RIX_CACHE_BYTES",
-                                           u64(o.cacheBytes)));
-    o.queueDepth = size_t(envPositiveCount("RIX_QUEUE_DEPTH",
-                                           u64(o.queueDepth)));
     // Strictly validated: a set-but-unusable RIX_STORE_DIR is fatal
     // (a daemon that silently ran unjournaled would defeat the knob).
     const std::string storeDir = envStoreDir();

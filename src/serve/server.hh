@@ -71,8 +71,7 @@ struct ServeOptions
     size_t queueDepth = 64;
 
     /** Byte budget for the program + checkpoint LRU caches (half
-     *  each); RIX_CACHE_BYTES overrides (positive, strictly
-     *  validated). */
+     *  each). */
     size_t cacheBytes = size_t(256) << 20;
 
     /** Default per-job fault policy (RIX_TIMEOUT_MS / RIX_RETRIES);
@@ -90,8 +89,9 @@ struct ServeOptions
      *  "$RIX_STORE_DIR/serve.rixstore". */
     std::string storePath;
 
-    /** Defaults with the environment knobs applied (fatal on invalid
-     *  values, never silently defaulted). */
+    /** Defaults with the environment knobs applied — the fault policy
+     *  and RIX_STORE_DIR (fatal on invalid values, never silently
+     *  defaulted). The queue depth and cache budget have flags only. */
     static ServeOptions fromEnv();
 };
 

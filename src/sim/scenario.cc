@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "base/env.hh"
 #include "base/log.hh"
 #include "base/thread_pool.hh"
 #include "sim/figures.hh"
@@ -318,47 +317,6 @@ ScenarioSpec::configIndex(const std::string &label) const
     return -1;
 }
 
-std::vector<std::string>
-workloadSelectionFromEnv(std::vector<std::string> dflt)
-{
-    const char *sel = getenv("RIX_BENCH");
-    if (!sel)
-        return dflt;
-    const std::vector<std::string> all = workloadNames();
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char *p = sel;; ++p) {
-        if (*p == ',' || *p == '\0') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            cur += *p;
-        }
-    }
-    // A selection that names no valid workload would silently run an
-    // empty (or full) set; reject unknown names loudly instead.
-    for (const std::string &name : out) {
-        if (std::find(all.begin(), all.end(), name) == all.end()) {
-            fprintf(stderr,
-                    "RIX_BENCH: unknown workload '%s'; valid names:",
-                    name.c_str());
-            for (const auto &n : all)
-                fprintf(stderr, " %s", n.c_str());
-            fprintf(stderr, "\n");
-            exit(1);
-        }
-    }
-    if (out.empty()) {
-        fprintf(stderr,
-                "RIX_BENCH is set but selects no workloads ('%s')\n", sel);
-        exit(1);
-    }
-    return out;
-}
-
 ScenarioSpec
 parseScenario(const std::string &json_text)
 {
@@ -409,7 +367,6 @@ parseScenario(const std::string &json_text)
                       spec.render.c_str());
     }
 
-    // Workload selection, then the legacy RIX_BENCH override.
     spec.workloads = workloadNames();
     if (const JsonValue *v = doc.find("workloads")) {
         if (v->isString()) {
@@ -436,7 +393,6 @@ parseScenario(const std::string &json_text)
                       "array of names");
         }
     }
-    spec.workloads = workloadSelectionFromEnv(std::move(spec.workloads));
 
     if (const JsonValue *v = doc.find("scale")) {
         const std::string cerr = coerceCount(*v, ~u64(0), &spec.scale);
@@ -444,7 +400,6 @@ parseScenario(const std::string &json_text)
             rix_fatal("scenario spec: 'scale' must be a positive integer"
                       "%s%s", cerr.empty() ? "" : ": ", cerr.c_str());
     }
-    spec.scale = envPositiveCount("RIX_SCALE", spec.scale);
 
     if (const JsonValue *v = doc.find("max_retired")) {
         const std::string cerr = coerceCount(*v, ~u64(0), &spec.maxRetired);
@@ -496,9 +451,6 @@ parseScenario(const std::string &json_text)
                   "runs — sampled results are estimates; use \"jsonl\" "
                   "or \"csv\"", spec.render.c_str());
 
-    // Observability blocks, then the RIX_TRACE* / RIX_METRICS_EVERY
-    // environment overrides (which can also enable either one on a
-    // spec that never mentions them).
     if (const JsonValue *v = doc.find("trace")) {
         if (!v->isObject())
             rix_fatal("scenario spec: 'trace' must be an object");
@@ -534,7 +486,6 @@ parseScenario(const std::string &json_text)
             }
         }
     }
-    spec.trace = applyTraceEnv(std::move(spec.trace));
     if (const JsonValue *v = doc.find("metrics")) {
         if (!v->isObject())
             rix_fatal("scenario spec: 'metrics' must be an object");
@@ -558,7 +509,6 @@ parseScenario(const std::string &json_text)
             }
         }
     }
-    spec.metrics = applyMetricsEnv(std::move(spec.metrics));
     if (const JsonValue *v = doc.find("profile")) {
         const std::string berr = coerceBool(*v, &spec.profile);
         if (!berr.empty())
@@ -753,12 +703,18 @@ attachObservabilityJob(const ScenarioSpec &spec, SimJob &job,
         job.metrics = std::make_shared<MetricsRecorder>(spec.metrics.every);
 }
 
-/** Write one job's metrics time series (JSON lines, suffixed like the
- *  trace outputs), labeled scenario/workload/config. */
+/** Close one job's trace file and write its metrics time series (JSON
+ *  lines, suffixed like the trace outputs), labeled
+ *  scenario/workload/config. A failed write of either is fatal. */
 void
-writeMetricsOutputJob(const ScenarioSpec &spec, const SimJob &job,
-                      size_t job_index, size_t n_jobs)
+finishObservabilityJob(const ScenarioSpec &spec, const SimJob &job,
+                       size_t job_index, size_t n_jobs)
 {
+    std::string err;
+    if (job.trace)
+        err = job.trace->close();
+    if (!err.empty())
+        rix_fatal("scenario '%s': %s", spec.name.c_str(), err.c_str());
     if (!job.metrics)
         return;
     std::vector<std::pair<std::string, std::string>> labels;
@@ -766,7 +722,6 @@ writeMetricsOutputJob(const ScenarioSpec &spec, const SimJob &job,
         labels.emplace_back("scenario", spec.name);
     labels.emplace_back("workload", job.workload);
     labels.emplace_back("config", scenarioJobConfigLabel(spec, job_index));
-    std::string err;
     if (!job.metrics->writeJsonl(
             observabilityPath(spec.metrics.out, job_index, n_jobs),
             labels, &err))
@@ -978,10 +933,10 @@ runScenario(const ScenarioSpec &spec, const FaultPolicy &policy,
         SweepRunner().run(remaining, sweepPolicy, onRetire);
     for (size_t k = 0; k < remainingIdx.size(); ++k)
         all[remainingIdx[k]] = std::move(fresh[k]);
-    if (spec.metrics.enabled)
+    if (spec.trace.enabled || spec.metrics.enabled)
         for (size_t k = 0; k < remaining.size(); ++k)
-            writeMetricsOutputJob(spec, remaining[k], remainingIdx[k],
-                                  jobs.size());
+            finishObservabilityJob(spec, remaining[k], remainingIdx[k],
+                                   jobs.size());
 
     ScenarioResults res;
     res.numConfigs = spec.configs.size();
@@ -1106,30 +1061,12 @@ renderScenarioBuffered(const ScenarioSpec &spec, const ScenarioResults &res,
     renderScenario(spec, res, mem);
     fclose(mem);
     FILE *dst = out ? out : stdout;
-    fwrite(buf, 1, bufLen, dst);
-    fflush(dst);
+    const bool written =
+        fwrite(buf, 1, bufLen, dst) == bufLen && fflush(dst) == 0;
     free(buf);
+    if (!written)
+        return 1;
     return res.failures() ? 3 : 0;
-}
-
-int
-runScenarioFile(const std::string &path, FILE *out, const FaultPolicy &policy)
-{
-    const ScenarioSpec spec = parseScenario(readScenarioFile(path));
-    return renderScenarioBuffered(spec, runScenario(spec, policy), out);
-}
-
-std::string
-bundledScenarioPath(const std::string &name)
-{
-    const char *dir = getenv("RIX_SCENARIO_DIR");
-#ifdef RIX_SCENARIO_DIR_DEFAULT
-    if (!dir)
-        dir = RIX_SCENARIO_DIR_DEFAULT;
-#endif
-    if (!dir)
-        dir = "examples/scenarios";
-    return std::string(dir) + "/" + name + ".json";
 }
 
 } // namespace rix

@@ -18,7 +18,7 @@
  *     "name":        "fig4",
  *     "description": "free text",
  *     "workloads":   "all" | ["mcf", "gcc", ...],
- *     "scale":       1,            // RIX_SCALE env overrides
+ *     "scale":       1,            // `rix run --scale` overrides
  *     "max_retired": 20000000,
  *     "max_cycles":  200000000,
  *     "base":        { <param overrides applied to every config> },
@@ -37,10 +37,9 @@
  * field named. The grid's cross product (first key slowest) is
  * appended to every config; point labels read "cfg;key=value;...".
  *
- * The legacy RIX_BENCH / RIX_SCALE environment knobs override the
- * spec's workload selection and scale, so committed figure specs
- * behave exactly like the historical bench binaries under CI's
- * environment-driven harness.
+ * The spec text alone is the experiment: parsing reads no environment.
+ * The only command-line override is `rix run --scale`, which sets the
+ * parsed spec's scale before it runs.
  */
 
 #ifndef RIX_SIM_SCENARIO_HH
@@ -90,11 +89,11 @@ struct ScenarioSpec
 
     /**
      * Observability, from the spec's "trace" / "metrics" / "profile"
-     * fields plus the RIX_TRACE* / RIX_METRICS_EVERY env overrides.
-     * Each expanded job gets its own sink/recorder; when the spec
-     * expands to more than one job, output paths are suffixed with the
-     * job index (".<N>") so parallel jobs never share a file. All three
-     * default off, leaving every simulated field bit-identical.
+     * fields. Each expanded job gets its own sink/recorder; when the
+     * spec expands to more than one job, output paths are suffixed
+     * with the job index (".<N>") so parallel jobs never share a file.
+     * All three default off, leaving every simulated field
+     * bit-identical.
      */
     TraceConfig trace;
     MetricsConfig metrics;
@@ -116,17 +115,10 @@ std::string applyCoreParamOverride(CoreParams &p, const std::string &key,
                                    const JsonValue &v);
 
 /**
- * Parse and fully expand a scenario spec (fatal on malformed input),
- * then apply the legacy RIX_SCALE / RIX_BENCH environment overrides.
+ * Parse and fully expand a scenario spec (fatal on malformed input).
+ * A pure function of @p json_text: no environment variable shapes it.
  */
 ScenarioSpec parseScenario(const std::string &json_text);
-
-/**
- * The RIX_BENCH workload selection, validated against the registry;
- * @p dflt when the variable is unset.
- */
-std::vector<std::string>
-workloadSelectionFromEnv(std::vector<std::string> dflt);
 
 /** Results of a scenario run, indexed (workload, config). */
 struct ScenarioResults
@@ -214,28 +206,15 @@ void renderScenario(const ScenarioSpec &spec, const ScenarioResults &res,
  * JSON/CSV document — consumers see either the whole render or nothing
  * plus a one-line stderr diagnostic.
  * @return process exit code: 0 when every point succeeded, 3 when some
- *         failed (their rows carry the status).
+ *         failed (their rows carry the status), 1 when writing onto
+ *         @p out failed (nothing printed: the caller names the
+ *         destination).
  */
 int renderScenarioBuffered(const ScenarioSpec &spec,
                            const ScenarioResults &res, FILE *out);
 
 /** Slurp a spec file; fatal (naming the path) on open/read errors. */
 std::string readScenarioFile(const std::string &path);
-
-/**
- * Parse, run (runScenario under @p policy) and render the spec at
- * @p path onto @p out (renderScenarioBuffered). Spec problems are
- * fatal. @return as renderScenarioBuffered.
- */
-int runScenarioFile(const std::string &path, FILE *out = nullptr,
-                    const FaultPolicy &policy = FaultPolicy{/*strict=*/true});
-
-/**
- * Path of a committed scenario spec by name: $RIX_SCENARIO_DIR takes
- * precedence, else the build-time examples/scenarios directory. Used
- * by the thin figure-bench wrappers.
- */
-std::string bundledScenarioPath(const std::string &name);
 
 } // namespace rix
 

@@ -1,7 +1,5 @@
 #include "store/sweep_store.hh"
 
-#include <cstdlib>
-
 #include "base/log.hh"
 
 namespace rix
@@ -55,23 +53,20 @@ makeSweepMeta(const std::string &spec_text, const ScenarioSpec &spec)
 }
 
 int
-runScenarioFileStored(const std::string &spec_path,
+runScenarioFileStored(const std::string &spec_text, const ScenarioSpec &spec,
                       const std::string &store_path, FILE *out,
                       const FaultPolicy &policy)
 {
     requireStorePathUsable("rix run --store", store_path);
-
-    const std::string text = readScenarioFile(spec_path);
-    const ScenarioSpec spec = parseScenario(text);
     if (!spec.rowRender())
         rix_fatal("rix run --store: spec '%s' renders '%s', but a "
                   "journaled run requires a row render (jsonl/csv) — "
                   "the figure renderers cannot mark a failed point",
-                  spec_path.c_str(), spec.render.c_str());
+                  spec.name.c_str(), spec.render.c_str());
 
     std::string err;
-    std::unique_ptr<ResultStore> store =
-        ResultStore::create(store_path, makeSweepMeta(text, spec), &err);
+    std::unique_ptr<ResultStore> store = ResultStore::create(
+        store_path, makeSweepMeta(spec_text, spec), &err);
     if (!store)
         rix_fatal("rix run --store: %s", err.c_str());
 
@@ -116,15 +111,14 @@ resumeStoreFile(const std::string &store_path, FILE *out,
                       selfRev.c_str());
     }
 
-    // Reinstall the resolved knobs the store was created under, then
-    // re-expand its embedded spec: the expansion this process computes
-    // must be the one the records are keyed by, and the recomputed
-    // hash proves it (a changed workload registry or spec grammar
-    // would silently re-key the job indices otherwise).
-    setenv("RIX_SCALE", std::to_string(meta.scale).c_str(),
-           /*overwrite=*/1);
-    setenv("RIX_BENCH", meta.workloadsCsv.c_str(), /*overwrite=*/1);
-    const ScenarioSpec spec = parseScenario(meta.specText);
+    // Re-expand the embedded spec at the scale the store was created
+    // under (`rix run --scale` may have overridden the spec's own):
+    // the expansion this process computes must be the one the records
+    // are keyed by, and the recomputed hash proves it (a changed
+    // workload registry or spec grammar would silently re-key the job
+    // indices otherwise).
+    ScenarioSpec spec = parseScenario(meta.specText);
+    spec.scale = meta.scale;
     const u64 hash = scenarioSpecHash(meta.specText, spec);
     if (hash != meta.specHash)
         rix_fatal("rix resume: store '%s' hashes its spec as "

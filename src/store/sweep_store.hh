@@ -7,11 +7,12 @@
  *
  * The store is self-contained: its header embeds the full spec text
  * plus the *resolved* scale and workload selection, so resuming needs
- * nothing but the store file. Resume re-installs the resolved knobs
- * into the environment, re-parses the embedded spec, verifies the
- * recomputed spec hash against the journaled one, and hands the store
- * to runScenario(spec, policy, store) — whose merged output is
- * bit-identical in every simulated field to an uninterrupted run.
+ * nothing but the store file. Resume re-parses the embedded spec, sets
+ * the journaled scale on it (`rix run --scale` may have overridden the
+ * spec's own), verifies the recomputed spec hash against the journaled
+ * one, and hands the store to runScenario(spec, policy, store) — whose
+ * merged output is bit-identical in every simulated field to an
+ * uninterrupted run.
  */
 
 #ifndef RIX_STORE_SWEEP_STORE_HH
@@ -43,15 +44,17 @@ StoreMeta makeSweepMeta(const std::string &spec_text,
                         const ScenarioSpec &spec);
 
 /**
- * `rix run --store`: run the spec at @p spec_path journaled into a
- * *new* store at @p store_path (an existing file is fatal — resuming
- * is `rix resume`'s job), rendering onto @p out (nullptr: stdout).
- * Journaling requires a row render (jsonl/csv): the figure renderers
- * always run strict, having no way to mark a failed point, so a spec
- * rendering a figure is fatal here. @return as runScenarioFile (0 ok,
- * 3 partial).
+ * `rix run --store`: run @p spec (parsed from @p spec_text, scale
+ * possibly overridden) journaled into a *new* store at @p store_path
+ * (an existing file is fatal — resuming is `rix resume`'s job),
+ * rendering onto @p out (nullptr: stdout). Journaling requires a row
+ * render (jsonl/csv): the figure renderers always run strict, having
+ * no way to mark a failed point, so a spec rendering a figure is fatal
+ * here. @return as renderScenarioBuffered (0 ok, 3 partial, 1 write
+ * failed).
  */
-int runScenarioFileStored(const std::string &spec_path,
+int runScenarioFileStored(const std::string &spec_text,
+                          const ScenarioSpec &spec,
                           const std::string &store_path, FILE *out,
                           const FaultPolicy &policy);
 
@@ -68,8 +71,9 @@ struct ResumeOptions
  * tail), re-expand its embedded spec, run exactly the jobs not yet
  * journaled, and render the merged results onto @p out (nullptr:
  * stdout). A store with every job journaled just re-renders.
- * @return as runScenarioFile (0 ok, 3 partial); mismatched spec hash,
- *         job count, or git revision are fatal.
+ * @return as renderScenarioBuffered (0 ok, 3 partial, 1 write
+ *         failed); mismatched spec hash, job count, or git revision
+ *         are fatal.
  */
 int resumeStoreFile(const std::string &store_path, FILE *out,
                     const FaultPolicy &policy,

@@ -1,8 +1,5 @@
 #include "trace/metrics.hh"
 
-#include <cstdlib>
-
-#include "base/env.hh"
 #include "base/log.hh"
 
 namespace rix
@@ -73,16 +70,6 @@ MetricsRecorder::writeJsonl(
     if (!ok && err)
         *err = "write failed on metrics output '" + path + "'";
     return ok;
-}
-
-MetricsConfig
-applyMetricsEnv(MetricsConfig cfg)
-{
-    if (const char *v = getenv("RIX_METRICS_EVERY")) {
-        cfg.every = parsePositiveCount("RIX_METRICS_EVERY", v);
-        cfg.enabled = true;
-    }
-    return cfg;
 }
 
 } // namespace rix

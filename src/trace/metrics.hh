@@ -16,12 +16,12 @@
  * that end on interval boundaries and samples between them, so
  * metrics cost nothing per cycle and never touch simulated state.
  *
- * Spec block (scenario JSON) / env override:
+ * Spec block (scenario JSON; `rix trace --metrics-every N` is the
+ * command-line form):
  *
  *   "metrics": { "every": 10000, "out": "metrics.jsonl" }
  *
- * RIX_METRICS_EVERY overrides (and enables) the interval; it must be a
- * strictly positive decimal (garbage, 0, trailing junk: fatal).
+ * "every" must be a strictly positive integer (0 or garbage: fatal).
  */
 
 #ifndef RIX_TRACE_METRICS_HH
@@ -94,16 +94,13 @@ class MetricsRecorder
     std::vector<Interval> rows_;
 };
 
-/** Metrics block of a scenario spec, after parsing and env overrides. */
+/** Metrics block of a scenario spec / the `rix trace` flags. */
 struct MetricsConfig
 {
     bool enabled = false;
     u64 every = 10'000;     // simulated cycles per interval
     std::string out = "rix_metrics.jsonl";
 };
-
-/** Apply the RIX_METRICS_EVERY knob (strict positive) over @p cfg. */
-MetricsConfig applyMetricsEnv(MetricsConfig cfg);
 
 } // namespace rix
 

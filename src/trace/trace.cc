@@ -1,10 +1,6 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include "base/env.hh"
-#include "base/log.hh"
 
 namespace rix
 {
@@ -55,8 +51,20 @@ makeTraceEvent(const DynInst &di, Cycle now, bool retired,
 
 FileTraceSink::~FileTraceSink()
 {
-    if (f_)
-        fclose(f_);
+    close();
+}
+
+std::string
+FileTraceSink::close()
+{
+    if (!f_)
+        return "";
+    const bool writeFailed = ferror(f_) != 0;
+    const bool closeFailed = fclose(f_) != 0;
+    f_ = nullptr;
+    if (writeFailed || closeFailed)
+        return "write failed on trace output '" + path_ + "'";
+    return "";
 }
 
 void
@@ -171,40 +179,8 @@ openTraceSink(const TraceConfig &cfg, const std::string &path,
         return nullptr;
     }
     if (cfg.format == "jsonl")
-        return std::make_unique<JsonlTraceSink>(f);
-    return std::make_unique<KonataTraceSink>(f);
-}
-
-namespace
-{
-
-/** True iff @p path names a JSON-lines trace by extension. */
-bool
-endsWithJsonl(const std::string &path)
-{
-    static const std::string ext = ".jsonl";
-    return path.size() >= ext.size() &&
-           path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
-}
-
-} // namespace
-
-TraceConfig
-applyTraceEnv(TraceConfig cfg)
-{
-    if (const char *v = getenv("RIX_TRACE")) {
-        if (!*v)
-            rix_fatal("RIX_TRACE must name a trace output file "
-                      "(got an empty value)");
-        cfg.enabled = true;
-        cfg.out = v;
-        cfg.format = endsWithJsonl(cfg.out) ? "jsonl" : "konata";
-    }
-    if (const char *v = getenv("RIX_TRACE_START"))
-        cfg.start = parseNonNegativeCount("RIX_TRACE_START", v);
-    if (const char *v = getenv("RIX_TRACE_COUNT"))
-        cfg.count = parsePositiveCount("RIX_TRACE_COUNT", v);
-    return cfg;
+        return std::make_unique<JsonlTraceSink>(f, path);
+    return std::make_unique<KonataTraceSink>(f, path);
 }
 
 } // namespace rix

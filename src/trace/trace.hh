@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "cpu/dyn_inst.hh"
 
@@ -109,6 +110,10 @@ class TraceSink
 
     virtual void flush() {}
 
+    /** Flush and release the destination. @return "" when every event
+     *  reached it, else a diagnostic naming it; later calls return "". */
+    virtual std::string close() { return ""; }
+
     u64 numEvents() const { return nEvents_; }
     u64 numRetired() const { return nRetired_; }
     u64 numSquashed() const { return nSquashed_; }
@@ -128,19 +133,28 @@ class FileTraceSink : public TraceSink
   public:
     ~FileTraceSink() override;
     void flush() override;
+    std::string close() override;
 
   protected:
-    explicit FileTraceSink(FILE *f) : f_(f) {}
+    /** Takes ownership of @p f, opened on @p path. */
+    FileTraceSink(FILE *f, std::string path)
+        : f_(f), path_(std::move(path))
+    {
+    }
     FILE *f_;
+
+  private:
+    std::string path_;
 };
 
 /** Konata / gem5-O3PipeView text. */
 class KonataTraceSink : public FileTraceSink
 {
   public:
-    /** Takes ownership of @p f (also accepts stdout-like handles the
-     *  caller keeps via `owns=false` semantics of open()). */
-    explicit KonataTraceSink(FILE *f) : FileTraceSink(f) {}
+    KonataTraceSink(FILE *f, std::string path)
+        : FileTraceSink(f, std::move(path))
+    {
+    }
 
   protected:
     void write(const TraceEvent &ev) override;
@@ -150,16 +164,16 @@ class KonataTraceSink : public FileTraceSink
 class JsonlTraceSink : public FileTraceSink
 {
   public:
-    explicit JsonlTraceSink(FILE *f) : FileTraceSink(f) {}
+    JsonlTraceSink(FILE *f, std::string path)
+        : FileTraceSink(f, std::move(path))
+    {
+    }
 
   protected:
     void write(const TraceEvent &ev) override;
 };
 
-/**
- * Trace block of a scenario spec / the `rix trace` subcommand, after
- * parsing and env overrides.
- */
+/** Trace block of a scenario spec / the `rix trace` subcommand. */
 struct TraceConfig
 {
     bool enabled = false;
@@ -186,16 +200,6 @@ bool traceFormatValid(const std::string &format);
 std::unique_ptr<TraceSink> openTraceSink(const TraceConfig &cfg,
                                          const std::string &path,
                                          std::string *err);
-
-/**
- * Apply the RIX_TRACE / RIX_TRACE_START / RIX_TRACE_COUNT environment
- * knobs over @p cfg. RIX_TRACE names the output file and enables
- * tracing (fatal when empty); a ".jsonl" suffix selects the JSON-lines
- * exporter, anything else Konata text. START must be a non-negative
- * and COUNT a strictly positive decimal — garbage, trailing junk, and
- * COUNT=0 are fatal, naming the variable (base/env conventions).
- */
-TraceConfig applyTraceEnv(TraceConfig cfg);
 
 } // namespace rix
 

@@ -156,7 +156,6 @@ def throughput():
     parallel = run(bench("throughput"), RIX_JOBS=2, RIX_SCALE=1).stdout
     assert sim_fields(serial) == sim_fields(parallel), \
         "RIX_JOBS=2 diverged from serial run"
-    run(bench("fig5_stream"), RIX_JOBS=2, RIX_SCALE=1)
 
 
 def zero_overhead():
@@ -173,12 +172,12 @@ def validate_specs():
     run(rix("validate", *sorted(glob.glob(spec("*.json")))))
 
 
-def fig5_cli_equals_bench():
-    # The committed fig5 spec replayed through the generic CLI is
-    # byte-identical to the fig bench binary's output.
-    cli = run(rix("run", spec("fig5.json")), RIX_JOBS=2, RIX_SCALE=1)
-    fig = run(bench("fig5_stream"), RIX_JOBS=2, RIX_SCALE=1)
-    assert cli.stdout == fig.stdout, "rix run fig5.json != fig5_stream"
+def fig5_jobs_identical():
+    # The committed fig5 figure renders byte-identically serial and on
+    # two worker threads.
+    serial = run(rix("run", spec("fig5.json")), RIX_JOBS=1).stdout
+    parallel = run(rix("run", spec("fig5.json")), RIX_JOBS=2).stdout
+    assert serial and serial == parallel, "fig5 differs at RIX_JOBS=1 vs 2"
 
 
 def scenario_sweeps():
@@ -435,6 +434,44 @@ def diagnostics():
         p = run(rix("fuzz", "--explore", pct), rc=2)
         assert p.stdout == "", (pct, p.stdout)
         assert "--explore wants a percentage" in p.stderr, (pct, p.stderr)
+    # So do `rix run --scale` and the `rix serve` flags; a rejected
+    # daemon leaves no socket behind.
+    for bad in ("0", "abc", "4x"):
+        p = run(rix("run", "--scale", bad, spec("gate.json")), rc=1)
+        assert p.stdout == "", (bad, p.stdout)
+        assert "rix run --scale" in p.stderr, (bad, p.stderr)
+    sock = "/tmp/rix_diagnostics_%d.sock" % os.getpid()
+    for flag, bad in (("--queue", "0"), ("--cache-bytes", "garbage")):
+        p = run(rix("serve", sock, flag, bad), rc=1)
+        assert "rix serve " + flag in p.stderr, (flag, p.stderr)
+        assert not os.path.exists(sock), "socket left behind"
+
+    # A failed write of a render or a trace is an exit 1 with one
+    # diagnostic line naming the destination, and nothing on stdout.
+    def write_failed(p, dest):
+        assert not p.stdout, p.stdout
+        lines = [l for l in p.stderr.splitlines() if "write failed" in l]
+        assert len(lines) == 1 and dest in lines[0], p.stderr
+
+    write_failed(run(rix("run", "--out", "/dev/full", spec("gate.json")),
+                     rc=1), "/dev/full")
+    with open("/dev/full", "w") as full:
+        p = subprocess.run(rix("run", spec("gate.json")), stdout=full,
+                           stderr=subprocess.PIPE, text=True,
+                           env=rix_env({}), timeout=COMMAND_TIMEOUT_S)
+    assert p.returncode == 1, p
+    write_failed(p, "'stdout'")
+    run(rix("run", "--store", "gate.rixstore", spec("gate.json")))
+    write_failed(run(rix("resume", "--out", "/dev/full", "gate.rixstore"),
+                     rc=1), "/dev/full")
+    write_failed(run(rix("trace", "gzip", "--count", "1000", "--out",
+                         "/dev/full"), rc=1), "/dev/full")
+    with open("traced_full.json", "w") as f:
+        json.dump({"name": "traced_full", "workloads": ["gzip"],
+                   "max_retired": 20000,
+                   "configs": [{"label": "base"}],
+                   "trace": {"count": 1000, "out": "/dev/full"}}, f)
+    write_failed(run(rix("run", "traced_full.json"), rc=1), "/dev/full")
 
 
 # ---- fault ----
@@ -545,7 +582,7 @@ def fault_fuzz_guided():
 
 
 DRILLS = {f.__name__: f for f in (
-    throughput, zero_overhead, validate_specs, fig5_cli_equals_bench,
+    throughput, zero_overhead, validate_specs, fig5_jobs_identical,
     scenario_sweeps, sampled_smoke, sampled_exact_equals_full,
     sampled_speedup, functional, raw_word_decode_confined, fuzz_blind,
     fuzz_guided, gate, compare_forged_divergence, trace, trace_spec_block,

@@ -60,20 +60,8 @@ constexpr const char *sampledTwoSpec =
 class ResumeTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        unsetenv("RIX_BENCH");
-        unsetenv("RIX_SCALE");
-        setenv("RIX_JOBS", "2", 1);
-    }
-    void
-    TearDown() override
-    {
-        unsetenv("RIX_BENCH");
-        unsetenv("RIX_SCALE");
-        unsetenv("RIX_JOBS");
-    }
+    void SetUp() override { setenv("RIX_JOBS", "2", 1); }
+    void TearDown() override { unsetenv("RIX_JOBS"); }
 };
 
 std::string
@@ -258,6 +246,63 @@ TEST_F(ResumeTest, PartialStoreResumesBitIdentical)
     ::remove(part.c_str());
 }
 
+// `rix run --scale 2 --store` on a scale-1 spec journals the
+// overridden scale; `rix resume` must re-expand at that scale, not the
+// spec text's own.
+TEST_F(ResumeTest, OverriddenScaleResumesAtThatScale)
+{
+    ScenarioSpec spec = parseScenario(plainSpec);
+    ASSERT_EQ(spec.scale, 1u);
+    spec.scale = 2;
+    const FaultPolicy policy;
+    const ScenarioResults ref = runScenario(spec, policy);
+
+    const std::string full = tmpStore("scale_full");
+    ::remove(full.c_str());
+    std::string err;
+    auto store =
+        ResultStore::create(full, makeSweepMeta(plainSpec, spec), &err);
+    ASSERT_NE(store, nullptr) << err;
+    EXPECT_EQ(store->meta().scale, 2u);
+    runScenario(spec, policy, store.get());
+    store.reset();
+
+    // Journal only one job; resume runs the other three.
+    const std::string part = tmpStore("scale_part");
+    truncatedCopy(full, part, 1, 0);
+    char *buf = nullptr;
+    size_t len = 0;
+    FILE *out = open_memstream(&buf, &len);
+    ASSERT_EQ(resumeStoreFile(part, out, policy), 0);
+    fclose(out);
+    const std::string doc(buf, len);
+    free(buf);
+
+    auto resumed = ResultStore::openForAppend(part, &err);
+    ASSERT_NE(resumed, nullptr) << err;
+    ASSERT_EQ(resumed->records().size(), ref.jobs.size());
+    for (const StoreRecord &r : resumed->records())
+        expectSimIdentical(ref.jobs[r.jobIndex], r.result, "scale-2",
+                           r.jobIndex);
+
+    // Every rendered row reports scale 2.
+    size_t rows = 0;
+    for (size_t b = 0; b < doc.size(); ++rows) {
+        const size_t e = doc.find('\n', b);
+        ASSERT_NE(e, std::string::npos);
+        std::string perr;
+        const JsonValue row = JsonValue::parse(doc.substr(b, e - b), &perr);
+        ASSERT_TRUE(perr.empty()) << perr;
+        const JsonValue *scale = row.find("scale");
+        ASSERT_NE(scale, nullptr);
+        EXPECT_EQ(scale->asNumber(), 2.0);
+        b = e + 1;
+    }
+    EXPECT_EQ(rows, ref.jobs.size());
+    ::remove(full.c_str());
+    ::remove(part.c_str());
+}
+
 TEST_F(ResumeTest, SampledSpecResumesBitIdentical)
 {
     const ScenarioSpec spec = parseScenario(sampledSpec);
@@ -418,14 +463,6 @@ TEST_F(ResumeTest, Kill9MidSweepResumeFinishesBitIdentical)
 // times included — nothing is re-simulated).
 TEST_F(ResumeTest, ResumeOfCompleteStoreRendersIdenticalDocument)
 {
-    const std::string specFile =
-        ::testing::TempDir() + "resume_spec_" +
-        std::to_string(getpid()) + ".json";
-    FILE *sf = fopen(specFile.c_str(), "w");
-    ASSERT_NE(sf, nullptr);
-    fputs(plainSpec, sf);
-    fclose(sf);
-
     const std::string path = tmpStore("render");
     ::remove(path.c_str());
     const FaultPolicy policy;
@@ -433,7 +470,9 @@ TEST_F(ResumeTest, ResumeOfCompleteStoreRendersIdenticalDocument)
     char *bufA = nullptr, *bufB = nullptr;
     size_t lenA = 0, lenB = 0;
     FILE *outA = open_memstream(&bufA, &lenA);
-    ASSERT_EQ(runScenarioFileStored(specFile, path, outA, policy), 0);
+    ASSERT_EQ(runScenarioFileStored(plainSpec, parseScenario(plainSpec),
+                                    path, outA, policy),
+              0);
     fclose(outA);
 
     FILE *outB = open_memstream(&bufB, &lenB);
@@ -447,5 +486,4 @@ TEST_F(ResumeTest, ResumeOfCompleteStoreRendersIdenticalDocument)
     free(bufA);
     free(bufB);
     ::remove(path.c_str());
-    ::remove(specFile.c_str());
 }

@@ -41,18 +41,6 @@ parseErr(const std::string &text)
     return err;
 }
 
-class ScenarioEnvGuard : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        unsetenv("RIX_BENCH");
-        unsetenv("RIX_SCALE");
-    }
-    void TearDown() override { SetUp(); }
-};
-
 } // namespace
 
 // ---- JSON reader ----------------------------------------------------
@@ -241,9 +229,7 @@ TEST(ValidateParams, CatchesPipelineDeadlocks)
 
 // ---- spec parsing and grid expansion --------------------------------
 
-using Scenario = ScenarioEnvGuard;
-
-TEST_F(Scenario, ParsesConfigsAndDefaults)
+TEST(Scenario, ParsesConfigsAndDefaults)
 {
     const ScenarioSpec spec = parseScenario(
         "{\"name\": \"t\", \"workloads\": [\"mcf\", \"gcc\"],"
@@ -270,7 +256,7 @@ TEST_F(Scenario, ParsesConfigsAndDefaults)
     EXPECT_EQ(spec.configIndex("nope"), -1);
 }
 
-TEST_F(Scenario, GridExpandsFirstAxisSlowest)
+TEST(Scenario, GridExpandsFirstAxisSlowest)
 {
     const ScenarioSpec spec = parseScenario(
         "{\"workloads\": [\"mcf\"],"
@@ -284,7 +270,7 @@ TEST_F(Scenario, GridExpandsFirstAxisSlowest)
     EXPECT_EQ(spec.configs[3].params.integ.itAssoc, 4u);
 }
 
-TEST_F(Scenario, GridCrossesEveryConfig)
+TEST(Scenario, GridCrossesEveryConfig)
 {
     const ScenarioSpec spec = parseScenario(
         "{\"workloads\": [\"mcf\"],"
@@ -298,19 +284,27 @@ TEST_F(Scenario, GridCrossesEveryConfig)
     EXPECT_EQ(spec.configs[3].params.integ.genBits, 8u);
 }
 
-TEST_F(Scenario, EnvOverridesSpec)
+TEST(Scenario, EnvironmentDoesNotShapeSpec)
 {
-    setenv("RIX_SCALE", "3", 1);
-    setenv("RIX_BENCH", "gzip", 1);
+    // The variables that once overrode a spec: the text alone decides.
+    const char *const legacy[][2] = {{"RIX_SCALE", "3"},
+                                     {"RIX_BENCH", "gzip"},
+                                     {"RIX_TRACE", "/tmp/rix_env.jsonl"},
+                                     {"RIX_METRICS_EVERY", "2500"}};
+    for (const auto &kv : legacy)
+        setenv(kv[0], kv[1], 1);
     const ScenarioSpec spec = parseScenario(
         "{\"workloads\": [\"mcf\", \"gcc\"], \"scale\": 1,"
         " \"configs\": [{\"label\": \"a\"}]}");
-    EXPECT_EQ(spec.scale, 3u);
-    ASSERT_EQ(spec.workloads.size(), 1u);
-    EXPECT_EQ(spec.workloads[0], "gzip");
+    for (const auto &kv : legacy)
+        unsetenv(kv[0]);
+    EXPECT_EQ(spec.scale, 1u);
+    EXPECT_EQ(spec.workloads, (std::vector<std::string>{"mcf", "gcc"}));
+    EXPECT_FALSE(spec.trace.enabled);
+    EXPECT_FALSE(spec.metrics.enabled);
 }
 
-TEST_F(Scenario, SpecErrorsAreFatal)
+TEST(Scenario, SpecErrorsAreFatal)
 {
     EXPECT_EXIT(parseScenario("{\"bogus\": 1}"),
                 ::testing::ExitedWithCode(1), "unknown top-level field");
@@ -330,18 +324,9 @@ TEST_F(Scenario, SpecErrorsAreFatal)
                 ::testing::ExitedWithCode(1), "unknown render");
     EXPECT_EXIT(parseScenario("{}"), ::testing::ExitedWithCode(1),
                 "needs a 'grid'");
-    // A valid spec under a zero or garbage RIX_SCALE fails loudly
-    // (historically such values built degenerate workloads).
-    for (const char *bad : {"0", "abc", "4x"}) {
-        setenv("RIX_SCALE", bad, 1);
-        EXPECT_EXIT(parseScenario("{\"workloads\": [\"mcf\"],"
-                                  " \"configs\": [{\"label\": \"a\"}]}"),
-                    ::testing::ExitedWithCode(1), "RIX_SCALE")
-            << "RIX_SCALE=" << bad;
-    }
 }
 
-TEST_F(Scenario, RunMatchesDirectSimulation)
+TEST(Scenario, RunMatchesDirectSimulation)
 {
     const ScenarioSpec spec = parseScenario(
         "{\"name\": \"tiny\", \"workloads\": [\"gcc\"],"
@@ -363,7 +348,7 @@ TEST_F(Scenario, RunMatchesDirectSimulation)
     EXPECT_NE(res.report(0, 1).core.integrated(), 0u);
 }
 
-TEST_F(Scenario, RendersJsonlAndCsv)
+TEST(Scenario, RendersJsonlAndCsv)
 {
     ScenarioSpec spec = parseScenario(
         "{\"name\": \"tiny\", \"workloads\": [\"gcc\"],"

@@ -607,20 +607,6 @@ class FlakyServer
 
 } // namespace
 
-TEST(Serve, EnvKnobsAreStrictlyValidated)
-{
-    // Garbage cache/queue knobs are fatal at startup, naming the
-    // variable, never silently defaulted.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    for (const char *knob : {"RIX_CACHE_BYTES", "RIX_QUEUE_DEPTH"}) {
-        for (const char *bad : {"garbage", "0", "-3"}) {
-            setenv(knob, bad, 1);
-            EXPECT_DEATH(ServeOptions::fromEnv(), knob) << knob << "=" << bad;
-        }
-        unsetenv(knob);
-    }
-}
-
 TEST(SubmitBatch, ReconnectsAndResendsUnansweredRequests)
 {
     const std::string path = socketPath("flaky");

@@ -4,8 +4,9 @@
  * stage cycles, exact retire window, squash causes), the Konata golden
  * format and file round-trip, the zero-overhead contract (simulated
  * state bit-identical with tracing on or off), interval metrics
- * summing to the end-of-run aggregates, strict environment parsing,
- * the host-phase profiler, and Histogram::quantile.
+ * summing to the end-of-run aggregates, strict parsing of the spec's
+ * trace/metrics blocks, write failures reported on close, the
+ * host-phase profiler, and Histogram::quantile.
  */
 
 #include <gtest/gtest.h>
@@ -59,17 +60,6 @@ expectMonotone(const TraceEvent &ev)
     EXPECT_LE(ev.issue, ev.complete);
     EXPECT_LE(ev.complete, ev.retire);
 }
-
-/** Scoped environment override (restores/unsets on destruction). */
-struct EnvGuard
-{
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        setenv(name, value, /*overwrite=*/1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-    const char *name_;
-};
 
 } // namespace
 
@@ -183,7 +173,8 @@ TEST(Konata, GoldenFormat)
     FILE *mem = open_memstream(&buf, &len);
     ASSERT_NE(mem, nullptr);
     {
-        KonataTraceSink sink(mem); // dtor fcloses, finalizing buf/len
+        // The dtor fcloses, finalizing buf/len.
+        KonataTraceSink sink(mem, "memstream");
         sink.emit(ev);
         sink.emit(sq);
         EXPECT_EQ(sink.numEvents(), 2u);
@@ -305,7 +296,7 @@ TEST(Trace, KonataFileRoundTrip)
     Core core(prog, params);
     core.setTraceSink(sink.get(), 0, 2'000);
     core.run(100'000, 1'000'000);
-    sink->flush();
+    EXPECT_EQ(sink->close(), "");
 
     // Reparse: every event renders exactly one fetch and one retire
     // line; retired events carry a nonzero retire cycle, squashed a
@@ -330,6 +321,19 @@ TEST(Trace, KonataFileRoundTrip)
     EXPECT_EQ(retireLines, sink->numEvents());
     EXPECT_EQ(retiredNonzero, sink->numRetired());
     EXPECT_EQ(sink->numRetired(), 2'000u);
+}
+
+TEST(Trace, FailedWriteIsReportedOnClose)
+{
+    TraceConfig cfg;
+    std::string err;
+    std::unique_ptr<TraceSink> sink = openTraceSink(cfg, "/dev/full", &err);
+    ASSERT_NE(sink, nullptr) << err;
+    // Enough events to overflow the stdio buffer.
+    for (int i = 0; i < 1'000; ++i)
+        sink->emit(TraceEvent{});
+    EXPECT_EQ(sink->close(), "write failed on trace output '/dev/full'");
+    EXPECT_EQ(sink->close(), "");
 }
 
 // ---- interval metrics ----------------------------------------------
@@ -422,92 +426,48 @@ TEST(MetricsDeathTest, ZeroIntervalIsFatal)
     EXPECT_DEATH(MetricsRecorder rec(0), "positive");
 }
 
-// ---- strict environment parsing ------------------------------------
-
-TEST(TraceEnv, AppliesValidValues)
-{
-    EnvGuard t("RIX_TRACE", "/tmp/t.jsonl");
-    EnvGuard s("RIX_TRACE_START", "5");
-    EnvGuard c("RIX_TRACE_COUNT", "7");
-    const TraceConfig cfg = applyTraceEnv(TraceConfig{});
-    EXPECT_TRUE(cfg.enabled);
-    EXPECT_EQ(cfg.out, "/tmp/t.jsonl");
-    EXPECT_EQ(cfg.format, "jsonl"); // sniffed from the suffix
-    EXPECT_EQ(cfg.start, 5u);
-    EXPECT_EQ(cfg.count, 7u);
-    EXPECT_EQ(cfg.end(), 12u);
-
-    EnvGuard k("RIX_TRACE", "/tmp/t.txt");
-    EXPECT_EQ(applyTraceEnv(TraceConfig{}).format, "konata");
-}
-
-TEST(TraceEnv, MetricsEveryEnables)
-{
-    EnvGuard e("RIX_METRICS_EVERY", "2500");
-    const MetricsConfig cfg = applyMetricsEnv(MetricsConfig{});
-    EXPECT_TRUE(cfg.enabled);
-    EXPECT_EQ(cfg.every, 2'500u);
-}
-
-TEST(TraceEnvDeathTest, EmptyTraceFileIsFatal)
-{
-    EnvGuard g("RIX_TRACE", "");
-    EXPECT_DEATH(applyTraceEnv(TraceConfig{}), "RIX_TRACE");
-}
-
-TEST(TraceEnvDeathTest, GarbageStartIsFatal)
-{
-    EnvGuard g("RIX_TRACE_START", "abc");
-    EXPECT_DEATH(applyTraceEnv(TraceConfig{}), "RIX_TRACE_START");
-}
-
-TEST(TraceEnvDeathTest, ZeroCountIsFatal)
-{
-    EnvGuard g("RIX_TRACE_COUNT", "0");
-    EXPECT_DEATH(applyTraceEnv(TraceConfig{}), "RIX_TRACE_COUNT");
-}
-
-TEST(TraceEnvDeathTest, TrailingJunkCountIsFatal)
-{
-    EnvGuard g("RIX_TRACE_COUNT", "12x");
-    EXPECT_DEATH(applyTraceEnv(TraceConfig{}), "RIX_TRACE_COUNT");
-}
-
-TEST(TraceEnvDeathTest, ZeroMetricsEveryIsFatal)
-{
-    EnvGuard g("RIX_METRICS_EVERY", "0");
-    EXPECT_DEATH(applyMetricsEnv(MetricsConfig{}), "RIX_METRICS_EVERY");
-}
-
-TEST(TraceEnvDeathTest, GarbageMetricsEveryIsFatal)
-{
-    EnvGuard g("RIX_METRICS_EVERY", "10 thousand");
-    EXPECT_DEATH(applyMetricsEnv(MetricsConfig{}), "RIX_METRICS_EVERY");
-}
+// ---- strict spec-block parsing ---------------------------------------
 
 namespace
 {
 
-// `rix run` applies the same knobs: parsing a traced spec dies naming
-// the bad variable.
-const char kTracedSpec[] = R"json({
-  "name": "traced",
-  "workloads": ["mcf"],
-  "configs": [{"label": "base"}],
-  "trace": {"start": 1000, "count": 20000, "out": "traced.kanata"},
-  "metrics": {"every": 5000, "out": "traced_metrics.jsonl"}
-})json";
+/** A one-job spec with the given trace and metrics block members. */
+std::string
+tracedSpec(const std::string &trace, const std::string &metrics)
+{
+    return R"({"workloads": ["mcf"], "configs": [{"label": "base"}],)"
+           R"( "trace": {)" + trace + R"(}, "metrics": {)" + metrics +
+           "}}";
+}
 
 } // namespace
 
-TEST(TraceEnvDeathTest, ScenarioZeroTraceCountIsFatal)
+TEST(TraceSpec, BlocksSetEveryField)
 {
-    EnvGuard g("RIX_TRACE_COUNT", "0");
-    EXPECT_DEATH(parseScenario(kTracedSpec), "RIX_TRACE_COUNT");
+    const ScenarioSpec spec = parseScenario(tracedSpec(
+        R"("start": 5, "count": 7, "format": "jsonl", "out": "t.jsonl")",
+        R"("every": 2500, "out": "m.jsonl")"));
+    EXPECT_TRUE(spec.trace.enabled);
+    EXPECT_EQ(spec.trace.start, 5u);
+    EXPECT_EQ(spec.trace.count, 7u);
+    EXPECT_EQ(spec.trace.end(), 12u);
+    EXPECT_EQ(spec.trace.format, "jsonl");
+    EXPECT_EQ(spec.trace.out, "t.jsonl");
+    EXPECT_TRUE(spec.metrics.enabled);
+    EXPECT_EQ(spec.metrics.every, 2'500u);
+    EXPECT_EQ(spec.metrics.out, "m.jsonl");
 }
 
-TEST(TraceEnvDeathTest, ScenarioZeroMetricsEveryIsFatal)
+TEST(TraceSpecDeathTest, BlocksAreStrictlyParsed)
 {
-    EnvGuard g("RIX_METRICS_EVERY", "0");
-    EXPECT_DEATH(parseScenario(kTracedSpec), "RIX_METRICS_EVERY");
+    // {trace members, metrics members, the field the death names}.
+    const char *const bad[][3] = {
+        {R"("count": 0)", "", "'trace.count'"},
+        {"", R"("every": 0)", "'metrics.every'"},
+        {R"("format": "vcd")", "", "'trace.format'"},
+        {R"("out": "")", "", "'trace.out'"},
+        {"", R"("out": "")", "'metrics.out'"},
+    };
+    for (const auto &b : bad)
+        EXPECT_DEATH(parseScenario(tracedSpec(b[0], b[1])), b[2]) << b[2];
 }
