@@ -1,11 +1,10 @@
 /**
  * @file
  * Shared infrastructure for the hand-written benchmark binaries
- * (throughput, functional, sampled, ablations, micro): the environment
- * knobs, single-run and sweep front ends, and the table printing
- * utilities. The paper's figures are scenario specs under
- * examples/scenarios/, run with `rix run` (see src/sim/scenario.hh);
- * specs read no environment.
+ * (throughput, functional, sampled): the environment knobs and the
+ * shared program lookup. Every paper experiment, figures and
+ * ablations alike, is a scenario spec under examples/scenarios/, run
+ * with `rix run` (see src/sim/scenario.hh); specs read no environment.
  *
  * Environment knobs (validated; 0 or garbage is fatal, not silent):
  *   RIX_SCALE  workload scale factor (default 1; paper-like curves
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "base/env.hh"
-#include "sim/figures.hh"
 #include "sim/sweep.hh"
 #include "workload/program_cache.hh"
 #include "workload/workload.hh"
@@ -97,68 +95,6 @@ inline const Program &
 program(const std::string &name)
 {
     return globalProgramCache().get(name, scaleFromEnv());
-}
-
-/** One serial simulation (ablation/micro benches; not a sweep). */
-inline SimReport
-run(const std::string &bench, const CoreParams &params)
-{
-    return runSimulation(program(bench), params, 20'000'000,
-                         200'000'000);
-}
-
-/**
- * Figure-sweep front end: phase one registers every (workload, config)
- * point and remembers its slot; then runAll() executes the whole plan
- * across the RIX_JOBS pool; phase two reads reports by slot.
- */
-class Sweep
-{
-  public:
-    /** Register a point; returns its slot for at()/wallSeconds(). */
-    size_t
-    add(const std::string &bench, const CoreParams &params)
-    {
-        SimJob job;
-        job.workload = bench;
-        job.scale = scaleFromEnv();
-        job.params = params;
-        jobs.push_back(std::move(job));
-        return jobs.size() - 1;
-    }
-
-    /** Execute every registered point (parallel per RIX_JOBS). */
-    void
-    runAll()
-    {
-        results = SweepRunner().run(jobs);
-    }
-
-    const SimReport &at(size_t slot) const { return results[slot].report; }
-    double wallSeconds(size_t slot) const
-    {
-        return results[slot].wallSeconds;
-    }
-    size_t size() const { return jobs.size(); }
-
-  private:
-    std::vector<SimJob> jobs;
-    std::vector<SimJobResult> results;
-};
-
-// speedupPct / gmeanSpeedupPct come from base/stats via `using
-// namespace rix` — the same single copy the figure renderers use.
-
-inline void
-printHeader(const char *title)
-{
-    printTableHeader(stdout, title);
-}
-
-inline void
-printRowLabel(const std::string &name)
-{
-    printTableRowLabel(stdout, name);
 }
 
 } // namespace rixbench

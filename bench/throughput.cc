@@ -4,11 +4,11 @@
  * run, in simulated kilo-instructions retired per wall-clock second
  * (KIPS)?
  *
- * Unlike the figure benches (which report simulated IPC and
- * integration behaviour), this binary exists to give the repository a
- * regression trajectory for host-side performance work: every
- * optimization PR quotes its per-workload and aggregate KIPS against
- * the previous run.
+ * Unlike the paper's experiments (scenario specs, which report
+ * simulated IPC and integration behaviour), this binary exists to give
+ * the repository a regression trajectory for host-side performance
+ * work: every optimization change quotes its per-workload and
+ * aggregate KIPS against the previous run.
  *
  * Output: one single-line JSON object per workload, then one aggregate
  * line, each of the form
@@ -72,13 +72,17 @@ main()
     for (const auto &bm : benches)
         program(bm);
 
-    Sweep sweep;
-    std::vector<size_t> slots;
-    for (const auto &bm : benches)
-        slots.push_back(sweep.add(bm, params));
+    std::vector<SimJob> jobs;
+    for (const auto &bm : benches) {
+        SimJob job;
+        job.workload = bm;
+        job.scale = scaleFromEnv();
+        job.params = params;
+        jobs.push_back(std::move(job));
+    }
 
     const auto t0 = Clock::now();
-    sweep.runAll();
+    const std::vector<SimJobResult> results = SweepRunner().run(jobs);
     const double elapsed = secondsSince(t0);
 
     u64 total_retired = 0;
@@ -86,8 +90,8 @@ main()
     double total_wall = 0.0;
 
     for (size_t i = 0; i < benches.size(); ++i) {
-        const SimReport &rep = sweep.at(slots[i]);
-        const double wall = sweep.wallSeconds(slots[i]);
+        const SimReport &rep = results[i].report;
+        const double wall = results[i].wallSeconds;
 
         const u64 retired = rep.core.retired;
         const double kips = wall > 0 ? retired / 1000.0 / wall : 0.0;

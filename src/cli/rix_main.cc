@@ -8,7 +8,9 @@
  * across the RIX_JOBS thread pool, and renders the results (generic
  * JSON-lines/CSV stat rows, or one of the built-in paper-figure
  * tables). The committed specs under examples/scenarios/ are the
- * paper's figures 4-7.
+ * paper's experiments: figures 4-7 (fig*.json) and its three design
+ * ablations (ablation_*.json), whose claims the cli.paper_claims
+ * drill checks.
  */
 
 #include <algorithm>

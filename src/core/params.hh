@@ -77,7 +77,7 @@ struct IntegrationParams
     unsigned lispEntries = 1024;
     unsigned lispAssoc = 2;
 
-    // Ablation switches (DESIGN.md E11/E12).
+    // Ablation switches (examples/scenarios/ablation_*.json).
     bool useCallDepthIndex = true; // call-depth component of the IT index
     bool useGenCounters = true;    // generation-counter match requirement
 

@@ -14,6 +14,26 @@ namespace rix
 namespace
 {
 
+// The config labels each figure reads, spelled once: figureConfigLabels
+// lists them for parseScenario and the renderers look them up by the
+// same names. Fig. 5 reads the baseline +reverse machine; the others
+// also read "base" (no integration) and "<row>/<column>" cells.
+const char *const kFig4Modes[4] = {"squash", "general", "opcode",
+                                   "reverse"};
+const char *const kRealOrac[2] = {"real", "orac"};
+const char *const kFig5Config = "reverse";
+const char *const kFig6Assoc[4] = {"a1", "a2", "a4", "afull"};
+const char *const kFig6Size[5] = {"s64", "s256", "s1024", "s4096",
+                                  "s4096g8"};
+const char *const kFig7Machines[4] = {"base", "RS", "IW", "IW+RS"};
+const char *const kFig7Lisp[3] = {"noint", "real", "orac"};
+
+std::string
+cellLabel(const char *row, const char *col)
+{
+    return std::string(row) + "/" + col;
+}
+
 /** Config index by label; fatal naming the missing label. */
 size_t
 needConfig(const ScenarioSpec &spec, const std::string &label)
@@ -25,11 +45,6 @@ needConfig(const ScenarioSpec &spec, const std::string &label)
                   spec.render.c_str(), label.c_str(), spec.name.c_str());
     return size_t(i);
 }
-
-} // namespace
-
-// speedupPct / gmeanSpeedupPct come from base/stats (shared with the
-// hand-written benches via bench/common.hh — one copy of the math).
 
 void
 printTableHeader(FILE *out, const char *title)
@@ -43,9 +58,35 @@ printTableRowLabel(FILE *out, const std::string &name)
     fprintf(out, "%-8s", name.c_str());
 }
 
+} // namespace
+
+std::vector<std::string>
+figureConfigLabels(const std::string &render)
+{
+    std::vector<std::string> labels;
+    const auto cells = [&labels](const char *const *rows, size_t nrows,
+                                 const char *const *cols, size_t ncols) {
+        for (size_t r = 0; r < nrows; ++r)
+            for (size_t c = 0; c < ncols; ++c)
+                labels.push_back(cellLabel(rows[r], cols[c]));
+    };
+    if (render == "fig4") {
+        labels.push_back("base");
+        cells(kFig4Modes, 4, kRealOrac, 2);
+    } else if (render == "fig5") {
+        labels.push_back(kFig5Config);
+    } else if (render == "fig6") {
+        labels.push_back("base");
+        cells(kFig6Assoc, 4, kRealOrac, 2);
+        cells(kFig6Size, 5, kRealOrac, 2);
+    } else if (render == "fig7") {
+        labels.push_back("base");
+        cells(kFig7Machines, 4, kFig7Lisp, 3);
+    }
+    return labels;
+}
+
 // ---- Figure 4 -------------------------------------------------------
-// Required config labels: "base", and "<mode>/<real|orac>" for mode in
-// squash, general, opcode, reverse.
 
 void
 renderFig4(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
@@ -54,15 +95,13 @@ renderFig4(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
     const IntegrationMode modes[4] = {
         IntegrationMode::Squash, IntegrationMode::General,
         IntegrationMode::OpcodeIndexed, IntegrationMode::Reverse};
-    const char *const modeKeys[4] = {"squash", "general", "opcode",
-                                     "reverse"};
 
     const size_t baseCfg = needConfig(spec, "base");
     size_t cellCfg[4][2];
     for (int m = 0; m < 4; ++m)
         for (int l = 0; l < 2; ++l)
-            cellCfg[m][l] = needConfig(
-                spec, std::string(modeKeys[m]) + (l ? "/orac" : "/real"));
+            cellCfg[m][l] =
+                needConfig(spec, cellLabel(kFig4Modes[m], kRealOrac[l]));
 
     struct Cell
     {
@@ -179,7 +218,6 @@ renderFig4(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
 }
 
 // ---- Figure 5 -------------------------------------------------------
-// Required config label: "reverse" (the baseline +reverse machine).
 
 namespace
 {
@@ -222,7 +260,7 @@ void
 renderFig5(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
 {
     const std::vector<std::string> &benches = spec.workloads;
-    const size_t cfg = needConfig(spec, "reverse");
+    const size_t cfg = needConfig(spec, kFig5Config);
 
     std::map<std::string, SimReport> reports;
     for (size_t w = 0; w < benches.size(); ++w)
@@ -273,30 +311,24 @@ renderFig5(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
 }
 
 // ---- Figure 6 -------------------------------------------------------
-// Required config labels: "base"; "a{1,2,4,full}/{real,orac}" for the
-// associativity sweep; "s{64,256,1024,4096,4096g8}/{real,orac}" for the
-// size sweep. Geometry shown in row labels is read back from the
-// spec's params, so the JSON stays the source of truth.
+// Geometry shown in row labels is read back from the spec's params, so
+// the JSON stays the source of truth.
 
 void
 renderFig6(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
 {
     const std::vector<std::string> &benches = spec.workloads;
 
-    const char *const assocKeys[4] = {"a1", "a2", "a4", "afull"};
-    const char *const sizeKeys[5] = {"s64", "s256", "s1024", "s4096",
-                                     "s4096g8"};
-
     const size_t baseCfg = needConfig(spec, "base");
     size_t assocCfg[4][2], sizeCfg[5][2];
     for (int a = 0; a < 4; ++a)
         for (int l = 0; l < 2; ++l)
-            assocCfg[a][l] = needConfig(
-                spec, std::string(assocKeys[a]) + (l ? "/orac" : "/real"));
+            assocCfg[a][l] =
+                needConfig(spec, cellLabel(kFig6Assoc[a], kRealOrac[l]));
     for (int s = 0; s < 5; ++s)
         for (int l = 0; l < 2; ++l)
-            sizeCfg[s][l] = needConfig(
-                spec, std::string(sizeKeys[s]) + (l ? "/orac" : "/real"));
+            sizeCfg[s][l] =
+                needConfig(spec, cellLabel(kFig6Size[s], kRealOrac[l]));
 
     std::map<std::string, double> baseIpc;
     for (size_t w = 0; w < benches.size(); ++w)
@@ -365,22 +397,18 @@ renderFig6(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
 }
 
 // ---- Figure 7 -------------------------------------------------------
-// Required config labels: "base", and "<cfg>/<noint|real|orac>" for cfg
-// in base, RS, IW, IW+RS.
 
 void
 renderFig7(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
 {
     const std::vector<std::string> &benches = spec.workloads;
-    const char *const cfgNames[4] = {"base", "RS", "IW", "IW+RS"};
-    const char *const lispNames[3] = {"noint", "real", "orac"};
 
     const size_t baseCfg = needConfig(spec, "base");
     size_t cfgIdx[4][3];
     for (int c = 0; c < 4; ++c)
         for (int l = 0; l < 3; ++l)
-            cfgIdx[c][l] = needConfig(spec, std::string(cfgNames[c]) + "/" +
-                                                lispNames[l]);
+            cfgIdx[c][l] =
+                needConfig(spec, cellLabel(kFig7Machines[c], kFig7Lisp[l]));
 
     std::map<std::string, SimReport> baseNoInt;
     for (size_t w = 0; w < benches.size(); ++w)
@@ -389,7 +417,7 @@ renderFig7(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out)
     printTableHeader(out, "Figure 7: speedup % vs base/no-integration "
                      "(noint | +reverse realistic | oracle)");
     fprintf(out, "%-8s baseIPC", "bench");
-    for (const char *c : cfgNames)
+    for (const char *c : kFig7Machines)
         fprintf(out, " | %22s", c);
     fprintf(out, "\n");
 

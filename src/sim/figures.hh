@@ -5,28 +5,27 @@
  * Each renders one of the paper's evaluation tables from a finished
  * scenario run, byte-identical to the historical hand-written bench
  * binaries. The renderers locate their data points by config label
- * (documented per renderer in figures.cc); a spec missing a required
- * label fails loudly naming it. Everything else about the figure —
- * which workloads, which geometry values, which run limits — comes
- * from the spec, so the committed JSON remains the single source of
- * truth for the experiment.
+ * (figureConfigLabels); parseScenario rejects a spec missing one, so
+ * the check comes before any job runs. Everything else about the
+ * figure — which workloads, which geometry values, which run limits —
+ * comes from the spec, so the committed JSON remains the single source
+ * of truth for the experiment.
  */
 
 #ifndef RIX_SIM_FIGURES_HH
 #define RIX_SIM_FIGURES_HH
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "sim/scenario.hh"
 
 namespace rix
 {
 
-/** "==== title ====" section header (shared with bench/common.hh). */
-void printTableHeader(FILE *out, const char *title);
-
-/** Left-justified 8-column row label (shared with bench/common.hh). */
-void printTableRowLabel(FILE *out, const std::string &name);
+/** The config labels render @p render reads (empty for jsonl/csv). */
+std::vector<std::string> figureConfigLabels(const std::string &render);
 
 void renderFig4(const ScenarioSpec &spec, const ScenarioResults &res,
                 FILE *out);

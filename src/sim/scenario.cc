@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "base/log.hh"
+#include "base/stats.hh"
 #include "base/thread_pool.hh"
 #include "sim/figures.hh"
 #include "sim/sampling/checkpoint_cache.hh"
@@ -618,6 +619,13 @@ parseScenario(const std::string &json_text)
       gridDone:;
     }
 
+    // A figure reads its points by config label; a missing one is a
+    // spec error, caught here rather than after every job has run.
+    for (const std::string &label : figureConfigLabels(spec.render))
+        if (spec.configIndex(label) < 0)
+            rix_fatal("scenario spec: render '%s' requires a config "
+                      "labeled '%s'", spec.render.c_str(), label.c_str());
+
     return spec;
 }
 
@@ -964,6 +972,11 @@ void
 renderRows(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out,
            bool csv)
 {
+    // speedup_pct against the same workload's "base" point, for full
+    // detailed runs only: a ratio of two sampled estimates would read
+    // as a measurement.
+    const int baseCfg = spec.sampling.empty() ? spec.configIndex("base")
+                                              : -1;
     StatRegistry reg;
     for (size_t w = 0; w < spec.workloads.size(); ++w) {
         for (size_t c = 0; c < spec.configs.size(); ++c) {
@@ -982,6 +995,14 @@ renderRows(const ScenarioSpec &spec, const ScenarioResults &res, FILE *out,
             exportReport(res.report(w, c), row.stats);
             row.stats.set("scale", double(spec.scale));
             row.stats.set("wall_s", res.wallSeconds(w, c));
+            if (baseCfg >= 0) {
+                const SimJobResult &b =
+                    res.jobs[w * res.numConfigs + size_t(baseCfg)];
+                if (j.ok() && b.ok())
+                    row.stats.set("speedup_pct",
+                                  speedupPct(b.report.ipc(),
+                                             j.report.ipc()));
+            }
             if (res.isSampled()) {
                 // Sampled rollup: how much was measured, how much the
                 // whole run is, and the extrapolated estimate. When

@@ -36,6 +36,11 @@
  * type mismatches and malformed JSON are fatal with the position and
  * field named. The grid's cross product (first key slowest) is
  * appended to every config; point labels read "cfg;key=value;...".
+ * A figure render requires the config labels its table reads
+ * (figureConfigLabels in sim/figures.hh). When a spec of full
+ * detailed runs has a config labeled "base", every jsonl/csv row also
+ * carries speedup_pct: its IPC against that workload's base point
+ * (left out where either point failed).
  *
  * The spec text alone is the experiment: parsing reads no environment.
  * The only command-line override is `rix run --scale`, which sets the

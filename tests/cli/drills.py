@@ -20,6 +20,7 @@ import csv
 import glob
 import io
 import json
+import operator
 import os
 import re
 import shutil
@@ -181,17 +182,93 @@ def fig5_jobs_identical():
 
 
 def scenario_sweeps():
-    out = {name: run(rix("run", spec(name)), RIX_JOBS=2).stdout
-           for name in ("lisp_geometry.json", "extension_ablation.json",
-                        "cache_pressure.json")}
     for name, rows in (("lisp_geometry.json", 18),
                        ("cache_pressure.json", 8)):
-        recs = list(csv.DictReader(io.StringIO(out[name])))
+        out = run(rix("run", spec(name)), RIX_JOBS=2).stdout
+        recs = list(csv.DictReader(io.StringIO(out)))
         assert len(recs) == rows, (name, len(recs))
         assert all(float(r["retired"]) > 0 for r in recs), name
-    recs = jsonl(out["extension_ablation.json"])
-    assert len(recs) == 16, len(recs)
-    assert all(r["retired"] > 0 and "l1d_misses" in r for r in recs)
+
+
+def paper_claims():
+    # The paper's ablation claims, checked on the rows of the three
+    # ablation specs (8 workloads each, scale 1). Every bound is the
+    # paper's wording, never a measurement; `expect` records whether
+    # the claim holds today. A claim whose outcome flips either way
+    # fails the drill until its expectation here and the README's
+    # "Paper claims" paragraph are updated. Never widen a bound.
+    rows = {}
+    for name in ("genctr", "indexing", "pipeline"):
+        recs = jsonl(run(rix("run", spec("ablation_%s.json" % name)),
+                         RIX_JOBS=2).stdout)
+        assert recs, name
+        for r in recs:
+            assert r["status"] == "ok" and r["retired"] > 0, r
+            assert "l1d_misses" in r, r
+        rows[name] = recs
+
+    def amean(name, config, f):
+        vals = [f(r) for r in rows[name] if r["config"] == config]
+        assert len(vals) == 8, (name, config, len(vals))
+        return sum(vals) / len(vals)
+
+    def reg_misint_per_m(r):
+        return 1e6 * r["misint_registers"] / r["retired"]
+
+    def rate(r):
+        return 100 * r["integration_rate"]
+
+    def direct_rate(r):
+        return 100 * r["integrated_direct"] / r["retired"]
+
+    def share_within(*buckets):
+        def share(r):
+            hits = sum(r["integ_dist_%s_%s" % (b, kind)]
+                       for b in buckets for kind in ("direct", "reverse"))
+            return 100 * hits / (r["integrated_direct"] +
+                                 r["integrated_reverse"])
+        return share
+
+    rate0 = {r["workload"]: rate(r) for r in rows["pipeline"]
+             if r["config"] == "delay/0"}
+
+    def kept_vs_delay0(r):
+        r0 = rate0[r["workload"]]
+        return 100 * rate(r) / r0 if r0 > 0 else 100.0
+
+    # (id, claim, measured, op, bound, expected outcome)
+    off = amean("genctr", "gen/off", reg_misint_per_m)
+    claims = [("G%d" % n,
+               "register misint/M, %d-bit counters <= off / 2^%d" % (n, n),
+               amean("genctr", "gen/%d" % n, reg_misint_per_m), "<=",
+               off / 2 ** n, True) for n in (1, 2, 4)]
+    claims += [
+        ("I1", "+reverse rate %, call-depth index >= without",
+         amean("indexing", "reverse", rate), ">=",
+         amean("indexing", "reverse/no-cd", rate), True),
+        ("I2", "+reverse direct rate %, 2048-entry IT >= 1024",
+         amean("indexing", "reverse/it2048", direct_rate), ">=",
+         amean("indexing", "reverse", direct_rate), True),
+        ("P1a", "integrations within distance 4, % (delay 0)",
+         amean("pipeline", "delay/0", share_within("le4")), "<", 10, True),
+        ("P1b", "integrations within distance 16, % (delay 0)",
+         amean("pipeline", "delay/0", share_within("le4", "le16")), "<",
+         20, True),
+        ("P2", "integration rate kept at delay 16, % of delay 0",
+         amean("pipeline", "delay/16", kept_vs_delay0), ">=", 80, False),
+    ]
+    compare = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
+    flipped = []
+    for cid, claim, value, op, bound, expect in claims:
+        holds = compare[op](value, bound)
+        print("%-4s %-50s %8.2f %-2s %8.2f  %s%s"
+              % (cid, claim, value, op, bound,
+                 "holds" if holds else "violated",
+                 "" if holds == expect else "  (recorded: %s)"
+                 % ("holds" if expect else "violated")))
+        if holds != expect:
+            flipped.append(cid)
+    assert not flipped, "claim outcome changed: %s" % ", ".join(flipped)
 
 
 def sampled_smoke():
@@ -429,6 +506,19 @@ def diagnostics():
     assert p.stdout == "" and "cannot connect" in p.stderr, p
     p = run(rix("run", "/tmp/missing_spec.json"), rc=None)
     assert p.returncode != 0 and p.stdout == "", p
+    # A figure spec missing a config label its table reads fails at
+    # parse time: `rix validate` names the label, and `rix run` exits
+    # before any job runs (every job would write a metrics file).
+    fig4 = json.loads(read(spec("fig4.json")))
+    fig4["workloads"] = ["gcc", "gzip"]
+    fig4["configs"][0]["label"] = "baseline"
+    fig4["metrics"] = {"every": 100000, "out": "no_base_metrics.jsonl"}
+    with open("fig4_no_base.json", "w") as f:
+        json.dump(fig4, f)
+    for cmd in ("validate", "run"):
+        p = run(rix(cmd, "fig4_no_base.json"), rc=1)
+        assert p.stdout == "" and "labeled 'base'" in p.stderr, (cmd, p)
+    assert not glob.glob("no_base_metrics.jsonl*"), "a job ran"
     # --explore takes plain digits, like every other count.
     for pct in (" 50", "+50", "-0", "101"):
         p = run(rix("fuzz", "--explore", pct), rc=2)
@@ -583,7 +673,7 @@ def fault_fuzz_guided():
 
 DRILLS = {f.__name__: f for f in (
     throughput, zero_overhead, validate_specs, fig5_jobs_identical,
-    scenario_sweeps, sampled_smoke, sampled_exact_equals_full,
+    scenario_sweeps, paper_claims, sampled_smoke, sampled_exact_equals_full,
     sampled_speedup, functional, raw_word_decode_confined, fuzz_blind,
     fuzz_guided, gate, compare_forged_divergence, trace, trace_spec_block,
     serve_smoke, diagnostics, kill9_resume, serve_fault_drill,

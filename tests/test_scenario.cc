@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -324,6 +326,10 @@ TEST(Scenario, SpecErrorsAreFatal)
                 ::testing::ExitedWithCode(1), "unknown render");
     EXPECT_EXIT(parseScenario("{}"), ::testing::ExitedWithCode(1),
                 "needs a 'grid'");
+    EXPECT_EXIT(parseScenario("{\"render\": \"fig5\", "
+                              "\"configs\": [{\"label\": \"base\"}]}"),
+                ::testing::ExitedWithCode(1),
+                "render 'fig5' requires a config labeled 'reverse'");
 }
 
 TEST(Scenario, RunMatchesDirectSimulation)
@@ -350,38 +356,78 @@ TEST(Scenario, RunMatchesDirectSimulation)
 
 TEST(Scenario, RendersJsonlAndCsv)
 {
+    const auto render = [](const ScenarioSpec &spec,
+                           const ScenarioResults &res) {
+        char *buf = nullptr;
+        size_t len = 0;
+        FILE *mem = open_memstream(&buf, &len);
+        renderScenario(spec, res, mem);
+        fclose(mem);
+        std::string text(buf, len);
+        free(buf);
+        return text;
+    };
+    const auto rows = [](const std::string &jsonl) {
+        std::vector<JsonValue> out;
+        size_t at = 0;
+        for (size_t nl; (nl = jsonl.find('\n', at)) != std::string::npos;
+             at = nl + 1)
+            out.push_back(parseOk(jsonl.substr(at, nl - at)));
+        return out;
+    };
+
     ScenarioSpec spec = parseScenario(
         "{\"name\": \"tiny\", \"workloads\": [\"gcc\"],"
         " \"max_retired\": 20000,"
         " \"configs\": [{\"label\": \"a\"}]}");
     const ScenarioResults res = runScenario(spec);
 
-    char *buf = nullptr;
-    size_t len = 0;
-    FILE *mem = open_memstream(&buf, &len);
-    renderScenario(spec, res, mem);
-    fclose(mem);
-    std::string jsonl(buf, len);
-    free(buf);
-    // One row, valid JSON, carrying labels and substrate stats.
-    std::string err;
-    const JsonValue row = JsonValue::parse(
-        jsonl.substr(0, jsonl.find('\n')), &err);
-    EXPECT_EQ(err, "");
-    EXPECT_EQ(row.find("workload")->asString(), "gcc");
-    EXPECT_EQ(row.find("config")->asString(), "a");
-    EXPECT_TRUE(row.find("l1d_misses") != nullptr);
-    EXPECT_TRUE(row.find("ipc") != nullptr);
+    // One row, valid JSON, carrying labels and substrate stats; no
+    // "base" config, so no speedup_pct.
+    const std::vector<JsonValue> one = rows(render(spec, res));
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].find("workload")->asString(), "gcc");
+    EXPECT_EQ(one[0].find("config")->asString(), "a");
+    EXPECT_TRUE(one[0].find("l1d_misses") != nullptr);
+    EXPECT_TRUE(one[0].find("ipc") != nullptr);
+    EXPECT_TRUE(one[0].find("speedup_pct") == nullptr);
 
     spec.render = "csv";
-    buf = nullptr;
-    mem = open_memstream(&buf, &len);
-    renderScenario(spec, res, mem);
-    fclose(mem);
-    std::string csv(buf, len);
-    free(buf);
+    const std::string csv = render(spec, res);
     EXPECT_NE(csv.find("scenario,workload,config"), std::string::npos);
     EXPECT_NE(csv.find("tiny,gcc,a"), std::string::npos);
+
+    // With a "base" config every row carries speedup_pct against the
+    // same workload's base point: 0 on the base row itself.
+    const std::string pair =
+        "{\"workloads\": [\"gcc\", \"gzip\"], \"max_retired\": 20000,"
+        " \"configs\": ["
+        "  {\"label\": \"base\", \"set\": {\"integ.mode\": \"off\"}},"
+        "  {\"label\": \"rev\", \"set\": {\"integ.mode\": \"reverse\"}}]";
+    const ScenarioSpec full = parseScenario(pair + "}");
+    const ScenarioResults fullRes = runScenario(full);
+    const std::vector<JsonValue> fullRows = rows(render(full, fullRes));
+    ASSERT_EQ(fullRows.size(), 4u);
+    for (size_t w = 0; w < 2; ++w) {
+        const JsonValue *base = fullRows[2 * w].find("speedup_pct");
+        const JsonValue *rev = fullRows[2 * w + 1].find("speedup_pct");
+        ASSERT_TRUE(base != nullptr && rev != nullptr);
+        EXPECT_EQ(base->asNumber(), 0.0);
+        EXPECT_DOUBLE_EQ(rev->asNumber(),
+                         speedupPct(fullRes.report(w, 0).ipc(),
+                                    fullRes.report(w, 1).ipc()));
+    }
+
+    // A sampled spec carries no speedup_pct: a ratio of two estimates
+    // is not a measurement.
+    const ScenarioSpec sampled = parseScenario(
+        pair + ", \"sampling\": {\"fast_forward\": 8000, "
+               "\"measure\": 1000, \"repeat\": 2}}");
+    const std::vector<JsonValue> sampledRows =
+        rows(render(sampled, runScenario(sampled)));
+    ASSERT_EQ(sampledRows.size(), 4u);
+    for (const JsonValue &row : sampledRows)
+        EXPECT_TRUE(row.find("speedup_pct") == nullptr);
 }
 
 // ---- stats registry --------------------------------------------------
