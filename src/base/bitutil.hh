@@ -37,6 +37,14 @@ sext(u64 val, unsigned nbits)
     return s64((v ^ m) - m);
 }
 
+/** Index of the lowest set bit; @p v must be non-zero. */
+inline unsigned
+ctz64(u64 v)
+{
+    assert(v != 0);
+    return unsigned(__builtin_ctzll(v));
+}
+
 /** True iff @p v is a power of two (zero is not). */
 constexpr bool
 isPow2(u64 v)

@@ -23,31 +23,6 @@ IntegrationEngine::reset(const IntegrationParams &params)
     nReverseEntries = nDirectEntries = 0;
 }
 
-bool
-IntegrationEngine::classIntegrates(const Instruction &inst)
-{
-    switch (inst.cls()) {
-      case InstClass::SimpleInt:
-      case InstClass::ComplexInt:
-      case InstClass::FloatOp:
-        return inst.writesReg();
-      case InstClass::Load:
-        return inst.writesReg();
-      case InstClass::Branch:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-IntegrationEngine::classCreatesEntry(const Instruction &inst)
-{
-    // Same classes: entries describe results that future instances (or
-    // squashed-and-refetched instances) may integrate.
-    return classIntegrates(inst);
-}
-
 ITKey
 IntegrationEngine::keyFor(const RenameCandidate &cand) const
 {
@@ -66,7 +41,7 @@ IntegrationEngine::keyFor(const RenameCandidate &cand) const
 }
 
 IntegrationResult
-IntegrationEngine::tryIntegrate(const RenameCandidate &cand)
+IntegrationEngine::tryIntegrate(const RenameCandidate &cand, ITProbe *probe)
 {
     IntegrationResult res;
     if (!p.enabled() || !classIntegrates(cand.inst))
@@ -74,7 +49,10 @@ IntegrationEngine::tryIntegrate(const RenameCandidate &cand)
     drainPending(cand.seq);
 
     ITHandle handle;
-    ITEntry *e = it.lookup(keyFor(cand), &handle);
+    ITProbe local;
+    ITProbe &pr = probe ? *probe : local;
+    it.probe(keyFor(cand), pr);
+    ITEntry *e = it.lookup(pr, &handle);
     if (!e)
         return res;
     res.entryHandle = handle;
@@ -112,12 +90,13 @@ IntegrationEngine::tryIntegrate(const RenameCandidate &cand)
 }
 
 void
-IntegrationEngine::drainPending(u64 now_seq)
+IntegrationEngine::drainPendingUntil(u64 now_seq)
 {
     while (!pending.empty() && pending.front().visibleAtSeq <= now_seq) {
         PendingInsert &pi = pending.front();
-        ITHandle h = it.insert(pi.key, pi.hasOut, pi.out, pi.outGen,
-                               pi.reverse, pi.isBranch, pi.createSeq);
+        ITHandle h = it.insert(pi.probe, pi.key, pi.hasOut, pi.out,
+                               pi.outGen, pi.reverse, pi.isBranch,
+                               pi.createSeq);
         if (pi.isBranch && pi.outcomeValid)
             it.fillBranchOutcome(h, pi.taken);
         pending.pop_front();
@@ -125,16 +104,18 @@ IntegrationEngine::drainPending(u64 now_seq)
 }
 
 ITHandle
-IntegrationEngine::enqueueOrInsert(const ITKey &key, bool has_out,
-                                   PhysReg out, u8 out_gen, bool reverse,
-                                   bool is_branch, u64 create_seq)
+IntegrationEngine::enqueueOrInsert(const ITProbe &probe, const ITKey &key,
+                                   bool has_out, PhysReg out, u8 out_gen,
+                                   bool reverse, bool is_branch,
+                                   u64 create_seq)
 {
     if (p.itWriteDelay == 0)
-        return it.insert(key, has_out, out, out_gen, reverse, is_branch,
-                         create_seq);
+        return it.insert(probe, key, has_out, out, out_gen, reverse,
+                         is_branch, create_seq);
     PendingInsert pi;
     pi.visibleAtSeq = create_seq + p.itWriteDelay;
     pi.key = key;
+    pi.probe = probe;
     pi.hasOut = has_out;
     pi.out = out;
     pi.outGen = out_gen;
@@ -152,7 +133,8 @@ IntegrationEngine::enqueueOrInsert(const ITKey &key, bool has_out,
 
 ITHandle
 IntegrationEngine::recordEntries(const RenameCandidate &cand, bool has_dest,
-                                 PhysReg dest, u8 dest_gen, bool integrated)
+                                 PhysReg dest, u8 dest_gen, bool integrated,
+                                 const ITProbe *probe)
 {
     ITHandle branch_handle;
     if (!p.enabled())
@@ -165,9 +147,15 @@ IntegrationEngine::recordEntries(const RenameCandidate &cand, bool has_dest,
     // instruction's result already is the matching entry).
     if (!integrated && classCreatesEntry(inst)) {
         const bool is_branch = inst.isCondBranch();
-        ITHandle h = enqueueOrInsert(keyFor(cand), has_dest, dest,
-                                     dest_gen, /*reverse=*/false,
-                                     is_branch, cand.seq);
+        const ITKey key = keyFor(cand);
+        ITProbe fresh;
+        if (!probe || !probe->made()) {
+            it.probe(key, fresh);
+            probe = &fresh;
+        }
+        ITHandle h = enqueueOrInsert(*probe, key, has_dest, dest, dest_gen,
+                                     /*reverse=*/false, is_branch,
+                                     cand.seq);
         ++nDirectEntries;
         if (is_branch)
             branch_handle = h;
@@ -188,8 +176,9 @@ IntegrationEngine::recordEntries(const RenameCandidate &cand, bool has_dest,
         rkey.hasIn1 = true;
         rkey.in1 = cand.src1;        // base (stack pointer)
         rkey.gen1 = cand.src1Gen;
-        enqueueOrInsert(rkey, /*has_out=*/true, cand.src2, cand.src2Gen,
-                        /*reverse=*/true, /*is_branch=*/false, cand.seq);
+        enqueueOrInsert(it.probe(rkey), rkey, /*has_out=*/true, cand.src2,
+                        cand.src2Gen, /*reverse=*/true, /*is_branch=*/false,
+                        cand.seq);
         ++nReverseEntries;
     }
 
@@ -208,8 +197,9 @@ IntegrationEngine::recordEntries(const RenameCandidate &cand, bool has_dest,
         rkey.hasIn1 = true;
         rkey.in1 = dest;          // the decremented stack pointer
         rkey.gen1 = dest_gen;
-        enqueueOrInsert(rkey, /*has_out=*/true, cand.src1, cand.src1Gen,
-                        /*reverse=*/true, /*is_branch=*/false, cand.seq);
+        enqueueOrInsert(it.probe(rkey), rkey, /*has_out=*/true, cand.src1,
+                        cand.src1Gen, /*reverse=*/true, /*is_branch=*/false,
+                        cand.seq);
         ++nReverseEntries;
     }
 

@@ -80,17 +80,40 @@ class IntegrationEngine
     void reset(const IntegrationParams &params);
 
     /** True when this instruction's class may integrate results. */
-    static bool classIntegrates(const Instruction &inst);
+    static bool
+    classIntegrates(const Instruction &inst)
+    {
+        switch (inst.cls()) {
+          case InstClass::SimpleInt:
+          case InstClass::ComplexInt:
+          case InstClass::FloatOp:
+          case InstClass::Load:
+            return inst.writesReg();
+          case InstClass::Branch:
+            return true;
+          default:
+            return false;
+        }
+    }
 
     /** True when this instruction's class creates a direct entry. */
-    static bool classCreatesEntry(const Instruction &inst);
+    static bool
+    classCreatesEntry(const Instruction &inst)
+    {
+        // Same classes: entries describe results that future instances
+        // (or squashed-and-refetched instances) may integrate.
+        return classIntegrates(inst);
+    }
 
     /**
      * Attempt integration. Pure decision: neither the map table nor the
      * reference counts are modified; the caller applies (or vetoes) the
-     * result and then calls addRef itself.
+     * result and then calls addRef itself. When @p probe is given,
+     * the IT probe of the candidate's key is left in it (made() is
+     * false when no lookup ran), for recordEntries() to reuse.
      */
-    IntegrationResult tryIntegrate(const RenameCandidate &cand);
+    IntegrationResult tryIntegrate(const RenameCandidate &cand,
+                                   ITProbe *probe = nullptr);
 
     /**
      * Record IT entries for a renamed instruction. Call after the
@@ -102,10 +125,14 @@ class IntegrationEngine
      * @param dest_gen    its generation
      * @param integrated  integration succeeded (direct entry skipped;
      *                    reverse entries are still created)
+     * @param probe       tryIntegrate()'s probe of this candidate,
+     *                    reused for the direct entry; null (or a
+     *                    probe not made) probes the key afresh
      * @return handle of the created branch-outcome entry, if any
      */
     ITHandle recordEntries(const RenameCandidate &cand, bool has_dest,
-                           PhysReg dest, u8 dest_gen, bool integrated);
+                           PhysReg dest, u8 dest_gen, bool integrated,
+                           const ITProbe *probe = nullptr);
 
     /** Forward a branch outcome to its IT entry. */
     void fillBranchOutcome(const ITHandle &h, bool taken);
@@ -133,6 +160,7 @@ class IntegrationEngine
     {
         u64 visibleAtSeq = 0;
         ITKey key;
+        ITProbe probe; // the key's probe, made at rename
         bool hasOut = false;
         PhysReg out = invalidPhysReg;
         u8 outGen = 0;
@@ -144,10 +172,16 @@ class IntegrationEngine
         bool taken = false;
     };
 
-    void drainPending(u64 now_seq);
-    ITHandle enqueueOrInsert(const ITKey &key, bool has_out, PhysReg out,
-                             u8 out_gen, bool reverse, bool is_branch,
-                             u64 create_seq);
+    void
+    drainPending(u64 now_seq)
+    {
+        if (!pending.empty() && pending.front().visibleAtSeq <= now_seq)
+            drainPendingUntil(now_seq);
+    }
+    void drainPendingUntil(u64 now_seq);
+    ITHandle enqueueOrInsert(const ITProbe &probe, const ITKey &key,
+                             bool has_out, PhysReg out, u8 out_gen,
+                             bool reverse, bool is_branch, u64 create_seq);
 
     IntegrationParams p;
     RegStateVector &regs;

@@ -6,21 +6,6 @@
 namespace rix
 {
 
-namespace
-{
-
-constexpr u64 laneValidBit = u64(1) << 63;
-
-/** Bit layout of the packed input-compare word. */
-constexpr unsigned in2Shift = 16;
-constexpr unsigned gen1Shift = 32;
-constexpr unsigned gen2Shift = 40;
-constexpr unsigned has1Shift = 48;
-constexpr unsigned has2Shift = 49;
-constexpr u64 genBits = (u64(0xff) << gen1Shift) | (u64(0xff) << gen2Shift);
-
-} // namespace
-
 IntegrationTable::IntegrationTable(const IntegrationParams &p)
 {
     reset(p);
@@ -42,137 +27,76 @@ IntegrationTable::reset(const IntegrationParams &p)
 
     const size_t n = size_t(sets) * assoc;
     table.assign(n, ITEntry{});
-    tagLane.assign(n, 0);
-    pcLane.assign(n, 0);
-    inputLane.assign(n, 0);
+    ways.assign(n, ProbeWords{});
     lruClock = 0;
+    ++epoch;
     nextId = 1;
     nLookups = nHits = nInserts = nReplacements = 0;
 }
 
-u32
-IntegrationTable::index(const ITKey &key) const
+IntegrationTable::SetScan
+IntegrationTable::scanSet(const ITProbe &pr) const
 {
-    if (sets == 1)
-        return 0;
-    if (pcTagged) {
-        // PC indexing: the PC distributes entries evenly by itself.
-        return u32(key.pc) & (sets - 1);
+    const ProbeWords *set = &ways[size_t(pr.set) * assoc];
+    unsigned invalid = assoc, lru = 0;
+    u64 oldest = ~u64(0);
+    for (unsigned w = 0; w < assoc; ++w) {
+        const ProbeWords &pw = set[w];
+        if (pw.tag == pr.tag && pw.input == pr.input &&
+            (!pcTagged || pw.pc == pr.pc))
+            return {w, true, false};
+        if (pw.tag == 0) {
+            if (invalid == assoc)
+                invalid = w;
+        } else if (pw.lru < oldest) {
+            oldest = pw.lru;
+            lru = w;
+        }
     }
-    // Opcode indexing: structured mix of opcode, immediate and call
-    // depth (section 2.3). Immediates are folded at byte granularity as
-    // well as raw so that the dense 0/8/16... stack-frame offsets spread
-    // over more than a handful of sets; the call depth is scaled so
-    // adjacent depths land in different regions of the table.
-    u64 ix = u64(key.op) * 0x9e37u;
-    ix ^= u64(u32(key.imm));
-    ix ^= u64(u32(key.imm)) >> 3;
-    if (params.useCallDepthIndex)
-        ix ^= u64(key.callDepth) * 0x85ebu;
-    return u32(ix) & (sets - 1);
-}
-
-u64
-IntegrationTable::packInputs(bool h1, bool h2, PhysReg in1, PhysReg in2,
-                             u8 g1, u8 g2) const
-{
-    // Canonical: operand fields contribute only when present, so the
-    // packed compare reproduces the original field-by-field semantics
-    // (absent operands match regardless of their register values).
-    u64 w = (u64(h1) << has1Shift) | (u64(h2) << has2Shift);
-    if (h1)
-        w |= u64(in1) | (u64(g1) << gen1Shift);
-    if (h2)
-        w |= (u64(in2) << in2Shift) | (u64(g2) << gen2Shift);
-    return w & inputGenMask;
-}
-
-IntegrationTable::Probe
-IntegrationTable::makeProbe(const ITKey &key) const
-{
-    Probe pr;
-    pr.set = index(key);
-    pr.tag = laneValidBit | (u64(u8(key.op)) << 32) | u64(u32(key.imm));
-    pr.input = packInputs(key.hasIn1, key.hasIn2, key.in1, key.in2,
-                          key.gen1, key.gen2);
-    return pr;
-}
-
-void
-IntegrationTable::writeLanes(size_t idx, const ITEntry &e)
-{
-    tagLane[idx] = e.valid ? laneValidBit | (u64(u8(e.op)) << 32) |
-                                 u64(u32(e.imm))
-                           : 0;
-    pcLane[idx] = e.pcTag;
-    inputLane[idx] = packInputs(e.hasIn1, e.hasIn2, e.in1, e.in2, e.gen1,
-                                e.gen2);
+    if (invalid != assoc)
+        return {invalid, false, false};
+    return {lru, false, true};
 }
 
 ITEntry *
-IntegrationTable::lookup(const ITKey &key, ITHandle *handle)
+IntegrationTable::lookup(ITProbe &pr, ITHandle *handle)
 {
     ++nLookups;
-    const Probe pr = makeProbe(key);
-    const size_t base = size_t(pr.set) * assoc;
-    for (unsigned w = 0; w < assoc; ++w) {
-        const size_t i = base + w;
-        if (tagLane[i] != pr.tag || inputLane[i] != pr.input)
-            continue;
-        if (pcTagged && pcLane[i] != key.pc)
-            continue;
-        // Hit: only now touch the payload row.
-        ITEntry &e = table[i];
-        e.lruStamp = ++lruClock;
-        ++nHits;
-        if (handle)
-            *handle = ITHandle{e.id, pr.set, u16(w), true};
-        return &e;
+    const SetScan scan = scanSet(pr);
+    pr.victim = u16(scan.way);
+    pr.replaces = scan.replaces;
+    if (!scan.match) {
+        pr.epoch = epoch;
+        return nullptr;
     }
-    return nullptr;
+    // Hit: only now touch the payload row. The hit way is also where
+    // an insert of this key goes (exact duplicate).
+    const size_t i = size_t(pr.set) * assoc + scan.way;
+    ways[i].lru = ++lruClock;
+    pr.epoch = ++epoch;
+    ITEntry &e = table[i];
+    ++nHits;
+    if (handle)
+        *handle = ITHandle{e.id, pr.set, u16(scan.way), true};
+    return &e;
 }
 
 ITHandle
-IntegrationTable::insert(const ITKey &key, bool has_out, PhysReg out,
-                         u8 out_gen, bool reverse, bool is_branch,
-                         u64 create_seq)
+IntegrationTable::insert(const ITProbe &pr, const ITKey &key, bool has_out,
+                         PhysReg out, u8 out_gen, bool reverse,
+                         bool is_branch, u64 create_seq)
 {
     ++nInserts;
-    const Probe pr = makeProbe(key);
-    const size_t base = size_t(pr.set) * assoc;
-
-    // Prefer overwriting an exact duplicate, then an invalid way, then
-    // the LRU victim.
-    unsigned victim = 0;
-    bool found = false;
-    for (unsigned w = 0; w < assoc && !found; ++w) {
-        const size_t i = base + w;
-        if (tagLane[i] == pr.tag && inputLane[i] == pr.input &&
-            (!pcTagged || pcLane[i] == key.pc)) {
-            victim = w;
-            found = true;
-        }
-    }
-    if (!found) {
-        for (unsigned w = 0; w < assoc && !found; ++w) {
-            if (tagLane[base + w] == 0) {
-                victim = w;
-                found = true;
-            }
-        }
-    }
-    if (!found) {
-        u64 best = ~u64(0);
-        for (unsigned w = 0; w < assoc; ++w) {
-            if (table[base + w].lruStamp < best) {
-                best = table[base + w].lruStamp;
-                victim = w;
-            }
-        }
+    // The victim a lookup of this probe chose holds while the table is
+    // unchanged since; otherwise choose again.
+    const SetScan scan = pr.epoch == epoch
+                             ? SetScan{pr.victim, false, pr.replaces}
+                             : scanSet(pr);
+    if (scan.replaces)
         ++nReplacements;
-    }
 
-    ITEntry &e = table[base + victim];
+    const size_t i = size_t(pr.set) * assoc + scan.way;
+    ITEntry &e = table[i];
     e.valid = true;
     e.reverse = reverse;
     e.op = key.op;
@@ -192,10 +116,10 @@ IntegrationTable::insert(const ITKey &key, bool has_out, PhysReg out,
     e.taken = false;
     e.id = nextId++;
     e.createSeq = create_seq;
-    e.lruStamp = ++lruClock;
-    writeLanes(base + victim, e);
+    ways[i] = ProbeWords{pr.tag, pr.input, key.pc, ++lruClock};
+    ++epoch;
 
-    return ITHandle{e.id, pr.set, u16(victim), true};
+    return ITHandle{e.id, pr.set, u16(scan.way), true};
 }
 
 ITEntry *
@@ -223,7 +147,8 @@ IntegrationTable::invalidate(const ITHandle &h)
 {
     if (ITEntry *e = at(h)) {
         e->valid = false;
-        tagLane[size_t(h.set) * assoc + h.way] = 0;
+        ways[size_t(h.set) * assoc + h.way].tag = 0;
+        ++epoch;
     }
 }
 
@@ -232,7 +157,9 @@ IntegrationTable::invalidateAll()
 {
     for (auto &e : table)
         e.valid = false;
-    tagLane.assign(tagLane.size(), 0);
+    for (auto &pw : ways)
+        pw.tag = 0;
+    ++epoch;
 }
 
 } // namespace rix

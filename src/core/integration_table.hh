@@ -63,7 +63,6 @@ struct ITEntry
 
     u64 id = 0;         // unique, for outcome-fill handles
     u64 createSeq = 0;  // rename-stream position of the creator
-    u64 lruStamp = 0;
 };
 
 /** Stable reference to an entry, validated by id on use. Packed to 16
@@ -91,6 +90,28 @@ struct ITKey
     u8 gen1 = 0, gen2 = 0;
 };
 
+/**
+ * One key's probe of the table, made once per key and carried from
+ * lookup() to insert() (also across the pipelined-IT write buffer):
+ * the set index plus the packed compare words, and the victim way that
+ * a lookup chose while scanning the set. The victim stays valid only
+ * while the table is unchanged since that lookup (same epoch);
+ * insert() chooses afresh otherwise.
+ */
+struct ITProbe
+{
+    u32 set = 0;
+    u64 tag = 0;   // valid bit | opcode | immediate; 0: no probe made
+    u64 input = 0; // canonical in1/in2/gen1/gen2/has-flag pack
+    u64 pc = 0;    // compared under PC tagging only
+
+    u64 epoch = 0;        // table epoch the victim was chosen at; 0: none
+    u16 victim = 0;
+    bool replaces = false; // victim is a valid way (LRU replacement)
+
+    bool made() const { return tag != 0; }
+};
+
 class IntegrationTable
 {
   public:
@@ -98,27 +119,67 @@ class IntegrationTable
 
     /**
      * Reconfigure to @p params and return to the power-on state.
-     * Reuses the probe lanes and payload array when the geometry is
+     * Reuses the probe words and payload arrays when the geometry is
      * unchanged (the long-lived-context reuse path of the sweep
      * engine).
      */
     void reset(const IntegrationParams &params);
 
-    /**
-     * Find an entry whose operation tag and inputs match @p key.
-     * Updates LRU on hit. Returns nullptr on miss. The caller still
-     * has to test output-register eligibility against the reference
-     * vector.
-     */
-    ITEntry *lookup(const ITKey &key, ITHandle *handle = nullptr);
+    /** The probe for @p key (set index and compare words), written
+     *  into @p pr in place. */
+    void
+    probe(const ITKey &key, ITProbe &pr) const
+    {
+        pr.set = index(key);
+        pr.tag = tagValidBit | (u64(u8(key.op)) << 32) | u64(u32(key.imm));
+        pr.input = packInputs(key.hasIn1, key.hasIn2, key.in1, key.in2,
+                              key.gen1, key.gen2);
+        pr.pc = key.pc;
+        pr.epoch = 0;
+    }
+
+    ITProbe
+    probe(const ITKey &key) const
+    {
+        ITProbe pr;
+        probe(key, pr);
+        return pr;
+    }
 
     /**
-     * Insert an entry built from @p key with the given output register.
-     * An exact tag+input duplicate is overwritten in place; otherwise
-     * the set's LRU victim is replaced.
+     * Find an entry whose operation tag and inputs match the probed
+     * key. Updates LRU on hit. Returns nullptr on miss. The caller
+     * still has to test output-register eligibility against the
+     * reference vector. The same pass records in @p pr the way an
+     * insert() of this key would take, so the insert does not scan
+     * the set again.
      */
-    ITHandle insert(const ITKey &key, bool has_out, PhysReg out, u8 out_gen,
-                    bool reverse, bool is_branch, u64 create_seq);
+    ITEntry *lookup(ITProbe &pr, ITHandle *handle = nullptr);
+
+    ITEntry *
+    lookup(const ITKey &key, ITHandle *handle = nullptr)
+    {
+        ITProbe pr = probe(key);
+        return lookup(pr, handle);
+    }
+
+    /**
+     * Insert an entry built from @p key (probed as @p pr) with the
+     * given output register. The victim is, in order: the exact
+     * tag+input duplicate (overwritten in place), the first invalid
+     * way, the least recently used way.
+     */
+    ITHandle insert(const ITProbe &pr, const ITKey &key, bool has_out,
+                    PhysReg out, u8 out_gen, bool reverse, bool is_branch,
+                    u64 create_seq);
+
+    ITHandle
+    insert(const ITKey &key, bool has_out, PhysReg out, u8 out_gen,
+           bool reverse, bool is_branch, u64 create_seq)
+    {
+        return insert(probe(key), key, has_out, out, out_gen, reverse,
+                      is_branch, create_seq);
+    }
 
     /** Record the outcome of the branch that created @p h, if it still
      *  owns the entry. */
@@ -137,7 +198,28 @@ class IntegrationTable
     unsigned associativity() const { return assoc; }
 
     /** Set index for the given key (exposed for distribution tests). */
-    u32 index(const ITKey &key) const;
+    u32
+    index(const ITKey &key) const
+    {
+        if (sets == 1)
+            return 0;
+        if (pcTagged) {
+            // PC indexing: the PC distributes entries evenly by itself.
+            return u32(key.pc) & (sets - 1);
+        }
+        // Opcode indexing: structured mix of opcode, immediate and
+        // call depth (section 2.3). Immediates are folded at byte
+        // granularity as well as raw so that the dense 0/8/16...
+        // stack-frame offsets spread over more than a handful of sets;
+        // the call depth is scaled so adjacent depths land in
+        // different regions of the table.
+        u64 ix = u64(key.op) * 0x9e37u;
+        ix ^= u64(u32(key.imm));
+        ix ^= u64(u32(key.imm)) >> 3;
+        if (params.useCallDepthIndex)
+            ix ^= u64(key.callDepth) * 0x85ebu;
+        return u32(ix) & (sets - 1);
+    }
 
     u64 lookups() const { return nLookups; }
     u64 hits() const { return nHits; }
@@ -145,22 +227,45 @@ class IntegrationTable
     u64 replacements() const { return nReplacements; }
 
   private:
-    /**
-     * Everything one probe needs, computed once per key: the set index
-     * mix plus the packed tag/input compare words. Shared by lookup()
-     * and insert() so the mix is never recomputed for the same key.
-     */
-    struct Probe
+    static constexpr u64 tagValidBit = u64(1) << 63;
+
+    /** Bit layout of the packed input-compare word. */
+    static constexpr unsigned in2Shift = 16;
+    static constexpr unsigned gen1Shift = 32;
+    static constexpr unsigned gen2Shift = 40;
+    static constexpr unsigned has1Shift = 48;
+    static constexpr unsigned has2Shift = 49;
+    static constexpr u64 genBits =
+        (u64(0xff) << gen1Shift) | (u64(0xff) << gen2Shift);
+
+    u64
+    packInputs(bool h1, bool h2, PhysReg in1, PhysReg in2, u8 g1,
+               u8 g2) const
     {
-        u32 set;
-        u64 tag;   // valid bit | opcode | immediate
-        u64 input; // canonical in1/in2/gen1/gen2/has-flag pack
+        // Canonical: operand fields contribute only when present, so
+        // the packed compare reproduces the original field-by-field
+        // semantics (absent operands match regardless of their
+        // register values).
+        u64 w = (u64(h1) << has1Shift) | (u64(h2) << has2Shift);
+        if (h1)
+            w |= u64(in1) | (u64(g1) << gen1Shift);
+        if (h2)
+            w |= (u64(in2) << in2Shift) | (u64(g2) << gen2Shift);
+        return w & inputGenMask;
+    }
+
+    /** One pass over a probed set. */
+    struct SetScan
+    {
+        unsigned way;  // the matching way, else the insert victim
+        bool match;    // an exact tag+input duplicate
+        bool replaces; // the victim is a valid way (LRU replacement)
     };
 
-    Probe makeProbe(const ITKey &key) const;
-    u64 packInputs(bool h1, bool h2, PhysReg in1, PhysReg in2, u8 g1,
-                   u8 g2) const;
-    void writeLanes(size_t idx, const ITEntry &e);
+    /** Scan the probed set once: a matching way ends the scan;
+     *  otherwise the victim is the first invalid way, else the least
+     *  recently used one. */
+    SetScan scanSet(const ITProbe &pr) const;
 
     IntegrationParams params;
     unsigned sets;
@@ -169,18 +274,29 @@ class IntegrationTable
     u64 inputGenMask;  // strips gen bits when gen counters are off
 
     /**
-     * Probe lanes in structure-of-arrays form, row-major sets x assoc.
-     * lookup() scans only these three compact lanes; the fat payload
-     * row in `table` is touched on a hit (and on insert/victim scan).
-     * tagLane is 0 for an invalid way: a key word always carries the
-     * valid bit, so one compare covers validity and operation tag.
+     * The probe words of one way, apart from its payload row: what
+     * lookup() compares and what the victim choice reads. A set's
+     * ways are adjacent (row-major sets x assoc, 32 bytes a way), so
+     * a probe reads one contiguous block (128 bytes at 4 ways) and an
+     * insert writes one way's 32 bytes. tag is 0 for an invalid
+     * way: a key word always carries the valid bit, so one compare
+     * covers validity and operation tag.
      */
-    std::vector<u64> tagLane;
-    std::vector<u64> pcLane;
-    std::vector<u64> inputLane;
+    struct ProbeWords
+    {
+        u64 tag = 0;
+        u64 input = 0;
+        u64 pc = 0;  // compared under PC tagging only
+        u64 lru = 0; // last-use stamp (lruClock)
+    };
+    std::vector<ProbeWords> ways;
 
     std::vector<ITEntry> table; // sets x assoc, row-major (payload)
     u64 lruClock = 0;
+    // Advances on every change that can move a victim choice (insert,
+    // invalidation, LRU touch); a probe's cached victim holds only
+    // while it is unchanged.
+    u64 epoch = 1;
     u64 nextId = 1;
     u64 nLookups = 0, nHits = 0, nInserts = 0, nReplacements = 0;
 };

@@ -35,35 +35,13 @@ RegStateVector::freeCount() const
     return n;
 }
 
-bool
-RegStateVector::canAllocate() const
-{
-    for (PhysReg r : freeQueue)
-        if (entries[r].count == 0 && !entries[r].pinnedReg)
-            return true;
-    return false;
-}
-
 PhysReg
 RegStateVector::allocate()
 {
-    // The queue may hold stale entries for registers that were
-    // resurrected by an integration after dropping to zero; skip them
-    // lazily (they are re-queued when they drop to zero again).
-    while (!freeQueue.empty()) {
-        PhysReg r = freeQueue.front();
-        freeQueue.pop_front();
-        Entry &e = entries[r];
-        if (e.count != 0 || e.pinnedReg)
-            continue;
-        e.count = 1;
-        e.valid = true;       // mapped registers are integration-eligible
-        e.ready = false;      // value not computed yet
-        e.gen = u8((e.gen + 1) & genMask);
-        e.origin = ZeroOrigin::Never;
-        return r;
-    }
-    rix_panic("physical register file exhausted");
+    const PhysReg r = tryAllocate();
+    if (r == invalidPhysReg)
+        rix_panic("physical register file exhausted");
+    return r;
 }
 
 void
@@ -95,44 +73,21 @@ RegStateVector::refSaturated(PhysReg r) const
 }
 
 void
-RegStateVector::markReady(PhysReg r)
-{
-    entries[r].ready = true;
-}
-
-void
-RegStateVector::dropToZero(Entry &e, PhysReg r, ZeroOrigin why)
-{
-    e.origin = why;
-    // Deadlock-avoidance rule: a squash-unmapped register whose value
-    // was never computed must not be integrated (0/F); everything else
-    // keeps its useful value (0/T).
-    e.valid = (why == ZeroOrigin::Shadowed) || e.ready;
-    freeQueue.push_back(r);
-}
-
-void
-RegStateVector::releaseOverwrite(PhysReg r)
-{
-    Entry &e = entries[r];
-    if (e.pinnedReg)
-        return;
-    if (e.count == 0)
-        rix_panic("releaseOverwrite on free register p%u", r);
-    if (--e.count == 0)
-        dropToZero(e, r, ZeroOrigin::Shadowed);
-}
-
-void
 RegStateVector::releaseSquash(PhysReg r)
 {
     Entry &e = entries[r];
     if (e.pinnedReg)
         return;
     if (e.count == 0)
-        rix_panic("releaseSquash on free register p%u", r);
+        zeroCountPanic("releaseSquash", r);
     if (--e.count == 0)
         dropToZero(e, r, ZeroOrigin::Squashed);
+}
+
+void
+RegStateVector::zeroCountPanic(const char *op, PhysReg r)
+{
+    rix_panic("%s on free register p%u", op, r);
 }
 
 bool

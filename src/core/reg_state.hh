@@ -24,6 +24,7 @@
 #ifndef RIX_CORE_REG_STATE_HH
 #define RIX_CORE_REG_STATE_HH
 
+#include <cstddef>
 #include <deque>
 #include <vector>
 
@@ -57,7 +58,14 @@ class RegStateVector
     unsigned freeCount() const;
 
     /** True when allocate() can succeed. */
-    bool canAllocate() const;
+    bool
+    canAllocate() const
+    {
+        for (PhysReg r : freeQueue)
+            if (reclaimable(r))
+                return true;
+        return false;
+    }
 
     /**
      * Allocate a register in FIFO order. The register transitions to
@@ -65,6 +73,36 @@ class RegStateVector
      * ready, and its generation counter advances.
      */
     PhysReg allocate();
+
+    /**
+     * allocate() when canAllocate(), else invalidPhysReg with the free
+     * queue untouched: one pass instead of canAllocate() rescanning
+     * the stale prefix that allocate() then pops.
+     */
+    PhysReg
+    tryAllocate()
+    {
+        // The queue may hold stale entries for registers that were
+        // resurrected by an integration after dropping to zero; they
+        // are skipped (and re-queued when they drop to zero again).
+        size_t stale = 0;
+        for (const PhysReg r : freeQueue) {
+            if (!reclaimable(r)) {
+                ++stale;
+                continue;
+            }
+            for (size_t k = 0; k <= stale; ++k)
+                freeQueue.pop_front();
+            Entry &e = entries[r];
+            e.count = 1;
+            e.valid = true;  // mapped registers are integration-eligible
+            e.ready = false; // value not computed yet
+            e.gen = u8((e.gen + 1) & genMask);
+            e.origin = ZeroOrigin::Never;
+            return r;
+        }
+        return invalidPhysReg;
+    }
 
     /**
      * Pin a register (used for the architectural zero register): it is
@@ -79,7 +117,7 @@ class RegStateVector
     bool refSaturated(PhysReg r) const;
 
     /** Pipeline notification: the register's value has been computed. */
-    void markReady(PhysReg r);
+    void markReady(PhysReg r) { entries[r].ready = true; }
 
     bool ready(PhysReg r) const { return entries[r].ready; }
 
@@ -88,7 +126,17 @@ class RegStateVector
      * architecturally overwrote it. On the last mapping the register
      * becomes 0/T (still integration-eligible) and reclaimable.
      */
-    void releaseOverwrite(PhysReg r);
+    void
+    releaseOverwrite(PhysReg r)
+    {
+        Entry &e = entries[r];
+        if (e.pinnedReg)
+            return;
+        if (e.count == 0)
+            zeroCountPanic("releaseOverwrite", r);
+        if (--e.count == 0)
+            dropToZero(e, r, ZeroOrigin::Shadowed);
+    }
 
     /**
      * Remove a mapping because the mapping instruction was squashed
@@ -141,7 +189,24 @@ class RegStateVector
         ZeroOrigin origin = ZeroOrigin::Never;
     };
 
-    void dropToZero(Entry &e, PhysReg r, ZeroOrigin why);
+    bool
+    reclaimable(PhysReg r) const
+    {
+        return entries[r].count == 0 && !entries[r].pinnedReg;
+    }
+
+    void
+    dropToZero(Entry &e, PhysReg r, ZeroOrigin why)
+    {
+        e.origin = why;
+        // Deadlock-avoidance rule: a squash-unmapped register whose
+        // value was never computed must not be integrated (0/F);
+        // everything else keeps its useful value (0/T).
+        e.valid = (why == ZeroOrigin::Shadowed) || e.ready;
+        freeQueue.push_back(r);
+    }
+
+    [[noreturn]] static void zeroCountPanic(const char *op, PhysReg r);
 
     std::vector<Entry> entries;
     std::deque<PhysReg> freeQueue; // FIFO reclamation order (lazy entries)

@@ -18,8 +18,10 @@ Core::Core(const Program &program, const CoreParams &params)
       pool(size_t(p.robSize) + p.fetchQueueSize + 1),
       fetchQueue(p.fetchQueueSize), rob(p.robSize),
       integWaiters(p.integ.numPhysRegs),
-      operandWaiters(p.integ.numPhysRegs)
+      operandWaiters(p.integ.numPhysRegs), issuePrio(p.rsSize),
+      issueRest(p.rsSize), issueMask((rob.slots() + 63) / 64, 0)
 {
+    checkRobSlots();
     initArchState();
 }
 
@@ -58,23 +60,22 @@ Core::resetMicroarch(const Program &program, const CoreParams &params)
     pool.reset(size_t(p.robSize) + p.fetchQueueSize + 1);
     fetchQueue.reset(p.fetchQueueSize);
     rob.reset(p.robSize);
+    checkRobSlots();
     sq.clear();
     lq.clear();
     rsBusy = 0;
 
     // Event plumbing and issue scratch.
-    completionEvents = decltype(completionEvents)();
+    completions.clear();
     integWaiters.resize(p.integ.numPhysRegs);
     for (auto &w : integWaiters)
         w.clear();
     operandWaiters.resize(p.integ.numPhysRegs);
     for (auto &w : operandWaiters)
         w.clear();
-    issuePrio.clear();
-    issueRest.clear();
-    rsList.clear();
-    wokenList.clear();
-    rsScratch.clear();
+    issuePrio.resize(p.rsSize);
+    issueRest.resize(p.rsSize);
+    issueMask.assign((rob.slots() + 63) / 64, 0);
 
     // Scalar bookkeeping back to the constructed defaults.
     fetchPc = 0;
@@ -96,6 +97,14 @@ Core::resetMicroarch(const Program &program, const CoreParams &params)
     uncountedEvents_ = 0;
 
     initArchState();
+}
+
+void
+Core::checkRobSlots() const
+{
+    // DynInst::robSlot is 16 bits wide.
+    if (rob.slots() > (u32(1) << 16))
+        rix_fatal("rob_size %u exceeds the 65536-slot ROB ring", p.robSize);
 }
 
 void

@@ -33,11 +33,11 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "core/integration.hh"
+#include "cpu/completion_queue.hh"
 #include "cpu/core_stats.hh"
 #include "cpu/divergence.hh"
 #include "cpu/dyn_inst.hh"
@@ -187,6 +187,12 @@ class Core
     {
         InstHandle h = invalidInstHandle;
         InstSeqNum seq = 0;
+
+        InstRef() = default;
+        // A constructor lets emplace_back build a ref in its slot; a
+        // braced temporary is built on the stack and copied with one
+        // wide load that stalls on the two narrow stores before it.
+        InstRef(InstHandle handle, InstSeqNum s) : h(handle), seq(s) {}
     };
 
     struct SqEntry
@@ -227,11 +233,21 @@ class Core
     // ---- execute helpers ----
     /** Issue-readiness check with wakeup registration: a candidate
      *  blocked on a source register parks itself on that register's
-     *  waiter list (and leaves the scannable RS list) until writeback
-     *  wakes it; retry-backoff and CHT-blocked candidates return
-     *  false without parking and are re-polled. */
+     *  waiter list (and leaves the issue mask) until writeback wakes
+     *  it; retry-backoff and CHT-blocked candidates return false
+     *  without parking and are re-polled. */
     bool checkReadyOrPark(DynInst &di);
     void wakeOperandWaiters(PhysReg preg);
+    void
+    setIssueBit(u16 slot)
+    {
+        issueMask[slot >> 6] |= u64(1) << (slot & 63);
+    }
+    void
+    clearIssueBit(u16 slot)
+    {
+        issueMask[slot >> 6] &= ~(u64(1) << (slot & 63));
+    }
     void executeAlu(DynInst &di);
     bool executeLoad(DynInst &di);
     void executeStore(DynInst &di);
@@ -296,6 +312,8 @@ class Core
      *  map the architectural registers from the golden state, point
      *  fetch at its PC. */
     void initArchState();
+    /** Fail loudly on a ROB whose ring slots overflow DynInst::robSlot. */
+    void checkRobSlots() const;
 
     // ---- configuration & substrates ----
     const Program *prog; // never null; rebindable via reset()
@@ -328,47 +346,29 @@ class Core
     unsigned rsBusy = 0;
 
     // ---- event plumbing ----
-    // Min-heap ordered by (cycle, seq): pops oldest-first within a
-    // cycle and reuses its backing storage instead of allocating map
-    // nodes. Events carry a validated handle so firing one is O(1)
-    // (no ROB search). Note the deliberate tie-break: same-cycle
-    // events fire in age order (the seed's multimap fired them in
-    // scheduling order), so e.g. the older of two branches resolving
-    // in one cycle squashes the younger before it can resolve —
-    // deterministic, and squash/mispredict stats can differ from the
-    // seed in exactly these tie cases while cycle counts do not.
-    struct CompletionEvent
-    {
-        Cycle when = 0;
-        InstSeqNum seq = 0;
-        InstHandle h = invalidInstHandle;
-        bool
-        operator>(const CompletionEvent &o) const
-        {
-            return when != o.when ? when > o.when : seq > o.seq;
-        }
-    };
-    std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
-                        std::greater<CompletionEvent>>
-        completionEvents;
+    // Completion events by cycle; same-cycle events fire in age order,
+    // so e.g. the older of two branches resolving in one cycle
+    // squashes the younger before it can resolve. Events carry a
+    // validated handle so firing one is O(1) (no ROB search).
+    CompletionQueue completions;
     // Indexed by physical register; inner vectors are cleared (capacity
     // kept) when drained.
     std::vector<std::vector<InstRef>> integWaiters;
     // RS instructions parked until a source register becomes ready
     // (same indexing/validation discipline as integWaiters).
     std::vector<std::vector<InstRef>> operandWaiters;
-    // Issue-candidate scratch, reused every cycle.
+    // Issue-candidate buffers (priority and other), rsSize entries
+    // each, reused every cycle.
     std::vector<InstRef> issuePrio, issueRest;
-    // Scannable reservation-station occupants in age order. Entries
-    // are seq-validated against the pool (squash/issue leaves stale
-    // pairs behind) and compacted during the per-cycle scan, so issue
-    // selection is O(RS) instead of O(ROB). Instructions parked on an
-    // operand are *removed* from this list (they live only on their
-    // register's waiter list) and merged back, still age-ordered, on
-    // wakeup — the scheduler never re-polls a parked instruction.
-    std::vector<InstRef> rsList;
-    std::vector<InstRef> wokenList; // woken this cycle, pending merge
-    std::vector<InstRef> rsScratch; // merge buffer, reused
+    // The issue candidates, one bit per ROB ring slot: a bit is set
+    // exactly while its instruction is in the RS and neither issued
+    // nor parked on an operand. Rename sets it, issue and squash clear
+    // it, and a parked instruction's bit is cleared when it parks and
+    // set again when writeback wakes it, so the scheduler never
+    // re-polls a parked instruction. The ROB is age-ordered, so
+    // walking the set bits from the ROB head's slot visits the
+    // candidates oldest first, with no list to merge or compact.
+    std::vector<u64> issueMask;
 
     // ---- fetch state ----
     InstAddr fetchPc = 0;

@@ -7,6 +7,8 @@
 #ifndef RIX_CPU_DYN_INST_HH
 #define RIX_CPU_DYN_INST_HH
 
+#include <cstddef>
+
 #include "bpred/predictor.hh"
 #include "core/integration_table.hh"
 #include "isa/decoded.hh"
@@ -40,34 +42,36 @@ enum class IntegStatus : u8
  * Fields are laid out for the per-cycle issue scan, not by pipeline
  * stage: everything the scheduler reads while deciding whether this
  * instruction can issue (seq validation, eligibility cycles, source
- * registers, status flags) packs into the first 64 bytes, so scanning
- * a reservation-station candidate touches one cache line. The record
- * is reset and recycled once per fetched instruction, so total
- * footprint is hot-loop traffic too.
+ * registers, decoded class, status flags) and everything writeback
+ * reads to complete and wake it packs into the first 64 bytes, so
+ * scanning a reservation-station candidate touches one cache line of
+ * the record. The record is reset and recycled once per fetched
+ * instruction, so total footprint is hot-loop traffic too.
  */
 struct DynInst
 {
-    // ---- first cache line: issue-scan state ----
+    // ---- first cache line: issue-scan and writeback state ----
     InstSeqNum seq = 0;
     Cycle earliestIssue = 0;
     Cycle retryCycle = 0;       // LSQ retry backoff
     InstAddr pc = 0;            // identity; also the CHT index
+    // Pre-decoded metadata for this static instruction, set at fetch
+    // alongside inst; points into the program's shared DecodedProgram
+    // (kept alive by Core::deco_). Never null once fetched.
+    const DecodedInst *dec = nullptr;
     PhysReg psrc1 = invalidPhysReg, psrc2 = invalidPhysReg;
     PhysReg pdest = invalidPhysReg;
-    PhysReg oldDest = invalidPhysReg; // previous mapping of dest lreg
     u8 gsrc1 = 0, gsrc2 = 0;
     u8 gdest = 0;
-    u8 oldDestGen = 0;
-    u8 refcountAfter = 0;       // reference count after the increment
-    IntegStatus integStatus = IntegStatus::None;
+    // ROB ring slot, set at rename: the instruction's bit in the
+    // core's issue mask.
+    u16 robSlot = 0;
     // Rename.
     bool renamed = false;
     bool hasSrc1 = false, hasSrc2 = false;
     bool hasDest = false;
-    bool oldDestValid = false;
     // Integration.
     bool integrated = false;
-    bool reverseIntegrated = false;
     // Execution state.
     bool needsRs = false;
     bool inRs = false;
@@ -77,18 +81,9 @@ struct DynInst
     // Control outcome.
     bool isCtrl = false;
     bool resolved = false;
-    bool actualTaken = false;
-    bool mispredicted = false;
-    // Memory.
-    bool addrValid = false;
-    bool speculativePastStore = false;
 
-    // ---- remaining state ----
+    // ---- remaining state (widest fields first: no padding) ----
     Instruction inst;
-    // Pre-decoded metadata for this static instruction, set at fetch
-    // alongside inst; points into the program's shared DecodedProgram
-    // (kept alive by Core::deco_). Never null once fetched.
-    const DecodedInst *dec = nullptr;
     Cycle fetchCycle = 0;
     Cycle renameReadyCycle = 0; // exits decode; eligible for rename
     Cycle renameCycle = 0;
@@ -106,6 +101,19 @@ struct DynInst
 
     u32 selfHandle = ~u32(0);   // own pool handle, set at allocation
     int lqIdx = -1, sqIdx = -1; // -1: no queue entry (integrated loads!)
+
+    PhysReg oldDest = invalidPhysReg; // previous mapping of dest lreg
+    u8 oldDestGen = 0;
+    bool oldDestValid = false;
+    u8 refcountAfter = 0;       // reference count after the increment
+    IntegStatus integStatus = IntegStatus::None;
+    bool reverseIntegrated = false;
+    // Control outcome.
+    bool actualTaken = false;
+    bool mispredicted = false;
+    // Memory.
+    bool addrValid = false;
+    bool speculativePastStore = false;
 
     // Stamped by squashFrom on the recovery walk, read only by the
     // pipeline-trace drain (never by simulation logic).
@@ -129,6 +137,11 @@ struct DynInst
                                                   : pc + 1;
     }
 };
+
+// The issue scan reads only the block before `inst`; a field added to
+// that block must not push the scanned state past one cache line.
+static_assert(offsetof(DynInst, inst) <= 64,
+              "DynInst issue-scan state exceeds one cache line");
 
 } // namespace rix
 

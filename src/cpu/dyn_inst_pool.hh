@@ -20,6 +20,8 @@
 #define RIX_CPU_DYN_INST_POOL_HH
 
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "cpu/dyn_inst.hh"
@@ -30,6 +32,10 @@ namespace rix
 /** Index-based reference to a pooled DynInst. */
 using InstHandle = u32;
 constexpr InstHandle invalidInstHandle = ~u32(0);
+
+// alloc() reuses a slot by constructing over it without running a
+// destructor, which is only sound for a trivially destructible record.
+static_assert(std::is_trivially_destructible_v<DynInst>);
 
 class DynInstPool
 {
@@ -49,8 +55,10 @@ class DynInstPool
             activateSlab();
         const InstHandle h = freeList.back();
         freeList.pop_back();
-        DynInst &di = get(h);
-        di = DynInst{};
+        // Construct the fresh record directly in its slot: assigning
+        // a DynInst{} temporary instead zero-fills a stack copy and
+        // then copies all of it into the slot.
+        DynInst &di = *::new (&get(h)) DynInst{};
         di.selfHandle = h;
         ++inUse_;
         return h;
@@ -155,11 +163,14 @@ class HandleRing
     bool empty() const { return count == 0; }
     bool full() const { return count >= cap; }
 
-    void
+    /** Append @p h; returns its slot (see atSlot). */
+    u32
     push_back(InstHandle h)
     {
-        buf[(head + count) & mask] = h;
+        const u32 slot = (head + count) & mask;
+        buf[slot] = h;
         ++count;
+        return slot;
     }
 
     void
@@ -194,6 +205,15 @@ class HandleRing
     {
         return buf[(head + i) & mask];
     }
+
+    /**
+     * Slots index the backing array: an element keeps its slot while
+     * it stays in the ring, and walking slotOf(i) for i = 0..size()-1,
+     * wrapping at slots(), visits the elements front to back.
+     */
+    u32 slots() const { return mask + 1; }
+    u32 slotOf(size_t i) const { return u32(head + i) & mask; }
+    InstHandle atSlot(u32 slot) const { return buf[slot]; }
 
     void
     clear()

@@ -12,8 +12,9 @@
  */
 
 #include <algorithm>
-#include <iterator>
+#include <utility>
 
+#include "base/bitutil.hh"
 #include "base/log.hh"
 #include "cpu/core.hh"
 
@@ -36,17 +37,19 @@ Core::checkReadyOrPark(DynInst &di)
 {
     if (di.hasSrc1 && !regState.ready(di.psrc1)) {
         di.waitingOperand = true;
-        operandWaiters[di.psrc1].push_back({di.selfHandle, di.seq});
+        clearIssueBit(di.robSlot);
+        operandWaiters[di.psrc1].emplace_back(di.selfHandle, di.seq);
         return false;
     }
     if (di.hasSrc2 && !regState.ready(di.psrc2)) {
         di.waitingOperand = true;
-        operandWaiters[di.psrc2].push_back({di.selfHandle, di.seq});
+        clearIssueBit(di.robSlot);
+        operandWaiters[di.psrc2].emplace_back(di.selfHandle, di.seq);
         return false;
     }
     if (di.retryCycle > cycle)
         return false;
-    if (di.isLoad()) {
+    if (di.dec->isLoad()) { // dec is on the scanned line; inst is not
         const SatCounter &c = cht[di.pc & (cht.size() - 1)];
         if (c.predictTaken() && oldestUnresolvedStore < di.seq)
             return false;
@@ -64,7 +67,7 @@ Core::wakeOperandWaiters(PhysReg preg)
         DynInst &w = pool.get(r.h);
         if (w.seq == r.seq && w.waitingOperand) {
             w.waitingOperand = false;
-            wokenList.push_back(r); // merged back before the next scan
+            setIssueBit(w.robSlot); // a candidate again from this cycle
         }
     }
     waiters.clear(); // keeps capacity for reuse
@@ -73,8 +76,8 @@ Core::wakeOperandWaiters(PhysReg preg)
 void
 Core::scheduleCompletion(DynInst &di, Cycle when)
 {
-    completionEvents.push(CompletionEvent{
-        when > cycle ? when : cycle + 1, di.seq, di.selfHandle});
+    completions.push(when > cycle ? when : cycle + 1, di.seq, di.selfHandle,
+                     cycle);
 }
 
 void
@@ -277,6 +280,7 @@ Core::issueStage()
             if (di.inRs) {
                 di.inRs = false;
                 --rsBusy;
+                clearIssueBit(di.robSlot);
             }
             --*slot;
             --total;
@@ -289,14 +293,12 @@ Core::issueStage()
 
     // A store-set squash during issue invalidates ROB positions;
     // collect candidates first, re-validate by sequence number. The
-    // scratch vectors are members reused every cycle (no allocation
-    // once their high-water capacity is reached). Candidates come from
-    // the age-ordered RS list, not a full ROB walk; entries that left
-    // the RS (issued or squashed, including recycled handles) are
-    // compacted away as the scan passes them.
-    std::vector<InstRef> &prio = issuePrio, &rest = issueRest;
-    prio.clear();
-    rest.clear();
+    // candidate buffers are members sized to the RS at reset: every
+    // candidate is a distinct RS occupant, so each bucket holds at
+    // most rsSize entries.
+    InstRef *const prio = issuePrio.data();
+    InstRef *const rest = issueRest.data();
+    size_t nprio = 0, nrest = 0;
     oldestUnresolvedStore = ~InstSeqNum(0);
     for (const SqEntry &e : sq) {
         if (!e.resolved) {
@@ -304,45 +306,52 @@ Core::issueStage()
             break;
         }
     }
-    // Fold instructions woken since the last scan back into the
-    // age-ordered list (both sides sorted by seq; merge is linear).
-    if (!wokenList.empty()) {
-        std::sort(wokenList.begin(), wokenList.end(),
-                  [](const InstRef &a, const InstRef &b) {
-                      return a.seq < b.seq;
-                  });
-        rsScratch.clear();
-        std::merge(rsList.begin(), rsList.end(), wokenList.begin(),
-                   wokenList.end(), std::back_inserter(rsScratch),
-                   [](const InstRef &a, const InstRef &b) {
-                       return a.seq < b.seq;
-                   });
-        rsList.swap(rsScratch);
-        wokenList.clear();
-    }
 
-    size_t live = 0;
-    for (size_t i = 0, n = rsList.size(); i < n; ++i) {
-        const auto [h, seq] = rsList[i];
-        DynInst &di = pool.get(h);
-        if (di.seq != seq || !di.inRs || di.issued)
-            continue; // left the RS; drop the stale entry
-        if (di.earliestIssue <= cycle) {
-            if (checkReadyOrPark(di))
-                (di.dec->priority() ? prio : rest).push_back({h, seq});
-            else if (di.waitingOperand)
-                continue; // parked: lives on a waiter list until woken
+    // Candidates in age order: the issue mask's set bits, walked from
+    // the ROB head's slot around the ring.
+    //
+    // Invariant: earliestIssue never decreases in age order.
+    // earliestIssue is renameCycle + issueDelay(), issueDelay() is
+    // fixed per configuration, and instructions rename in sequence
+    // order. So the first candidate that may not issue yet ends the
+    // scan: every younger candidate is ineligible too.
+    const u32 nslots = rob.slots();
+    u32 pos = rob.slotOf(0);
+    u32 left = u32(rob.size());
+    bool more = true;
+    while (more && left != 0) {
+        // The slots from pos to the end of its mask word, the end of
+        // the ring or the ROB tail, whichever comes first.
+        const u32 span = std::min({64 - (pos & 63), nslots - pos, left});
+        u64 bits = (issueMask[pos >> 6] >> (pos & 63)) & mask(span);
+        while (bits != 0) {
+            const u32 slot = pos + ctz64(bits);
+            bits &= bits - 1;
+            const InstHandle h = rob.atSlot(slot);
+            DynInst &di = pool.get(h);
+            if (di.earliestIssue > cycle) {
+                more = false;
+                break;
+            }
+            if (checkReadyOrPark(di)) {
+                if (di.dec->priority())
+                    prio[nprio++] = {h, di.seq};
+                else
+                    rest[nrest++] = {h, di.seq};
+            }
         }
-        if (live != i)
-            rsList[live] = rsList[i];
-        ++live;
+        pos += span;
+        left -= span;
+        if (pos == nslots)
+            pos = 0;
     }
-    rsList.resize(live);
 
-    for (const auto *bucket : {&prio, &rest}) {
-        for (const InstRef &r : *bucket) {
+    for (const auto &[bucket, count] :
+         {std::pair{prio, nprio}, std::pair{rest, nrest}}) {
+        for (size_t k = 0; k < count; ++k) {
             if (total == 0)
                 return;
+            const InstRef r = bucket[k];
             DynInst &di = pool.get(r.h);
             if (di.seq != r.seq || di.issued || !di.inRs)
                 continue; // squashed meanwhile
@@ -370,17 +379,12 @@ Core::resolveControl(DynInst &di)
 void
 Core::writebackStage()
 {
-    while (!completionEvents.empty() &&
-           completionEvents.top().when <= cycle) {
-        const CompletionEvent ev = completionEvents.top();
-        const Cycle when = ev.when;
-        completionEvents.pop();
-
+    for (const CompletionQueue::Event &ev : completions.take(cycle)) {
         DynInst *di = &pool.get(ev.h);
         if (di->seq != ev.seq)
             continue; // squashed in flight (slot recycled)
 
-        completeNow(*di, when > cycle ? when : cycle);
+        completeNow(*di, cycle);
 
         if (di->hasDest && !di->integrated) {
             regState.markReady(di->pdest);

@@ -111,7 +111,7 @@ Core::applyIntegration(DynInst &di, const IntegrationResult &res)
     if (regState.ready(res.preg)) {
         completeNow(di, cycle);
     } else {
-        integWaiters[res.preg].push_back({di.selfHandle, di.seq});
+        integWaiters[res.preg].emplace_back(di.selfHandle, di.seq);
     }
 }
 
@@ -166,7 +166,8 @@ Core::renameOne(InstHandle h)
     cand.src1Gen = di.gsrc1;
     cand.src2Gen = di.gsrc2;
 
-    IntegrationResult res = integ.tryIntegrate(cand);
+    ITProbe probe;
+    IntegrationResult res = integ.tryIntegrate(cand, &probe);
     if (res.suppressed)
         ++stats_.lispFalseCandidates;
     if (res.integrated && p.integ.lisp == LispMode::Oracle &&
@@ -185,7 +186,7 @@ Core::renameOne(InstHandle h)
 
         const bool redirect =
             di.resolved && di.actualNextPc() != di.predictedNextPc();
-        rob.push_back(h);
+        di.robSlot = u16(rob.push_back(h));
         if (redirect) {
             // Early (rename-time) branch resolution: the front end is
             // on the wrong path.
@@ -202,13 +203,13 @@ Core::renameOne(InstHandle h)
     di.needsRs = dec.needsRs();
     if (di.needsRs && rsBusy >= p.rsSize)
         return false;
-    if (dec.writesReg() && !regState.canAllocate())
-        return false;
-
     if (dec.writesReg()) {
+        const PhysReg pdest = regState.tryAllocate();
+        if (pdest == invalidPhysReg)
+            return false;
         const LogReg dst = inst.rc;
         di.hasDest = true;
-        di.pdest = regState.allocate();
+        di.pdest = pdest;
         di.gdest = regState.gen(di.pdest);
         di.oldDest = map[dst].preg;
         di.oldDestGen = map[dst].gen;
@@ -218,13 +219,13 @@ Core::renameOne(InstHandle h)
 
     finishRenameCommon(di);
     cand.seq = di.renameStreamPos;
-    di.createdEntry = integ.recordEntries(cand, di.hasDest, di.pdest,
-                                          di.gdest, /*integrated=*/false);
+    di.createdEntry =
+        integ.recordEntries(cand, di.hasDest, di.pdest, di.gdest,
+                            /*integrated=*/false, &probe);
 
     if (di.needsRs) {
         ++rsBusy;
         di.inRs = true;
-        rsList.push_back({h, di.seq});
     }
 
     // Queue allocation for memory operations.
@@ -271,7 +272,9 @@ Core::renameOne(InstHandle h)
         break;
     }
 
-    rob.push_back(h);
+    di.robSlot = u16(rob.push_back(h));
+    if (di.inRs)
+        setIssueBit(di.robSlot);
     return true;
 }
 

@@ -61,6 +61,7 @@ Core::squashFrom(DynInst &boundary, bool include_boundary, InstAddr new_pc,
 
     while (!rob.empty() && pool.get(rob.back()).seq > bseq) {
         DynInst &victim = pool.get(rob.back());
+        clearIssueBit(victim.robSlot);
         undoRename(victim);
         if (tracing) {
             victim.squashCause = cause;

@@ -442,6 +442,156 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
     // ...and must fail validation immediately after release, before
     // the slot is ever reused (squash correctness depends on this).
     EXPECT_NE(pool.get(h).seq, 42u);
+
+    // A recycled slot comes back as a default record: the pipeline
+    // reads some fields (retry cycle, status flags, refcount, queue
+    // markers, IT handles, squash cause) before any stage writes them.
+    // Dirty every field, release, and take the same slot back (the
+    // free list is LIFO).
+    static const DecodedInst someDecoded{};
+    const InstHandle d = pool.alloc();
+    DynInst &w = pool.get(d);
+    w.seq = 7;
+    w.earliestIssue = 11;
+    w.retryCycle = 12;
+    w.pc = 13;
+    w.psrc1 = 1;
+    w.psrc2 = 2;
+    w.pdest = 3;
+    w.oldDest = 4;
+    w.gsrc1 = w.gsrc2 = w.gdest = w.oldDestGen = 5;
+    w.refcountAfter = 6;
+    w.integStatus = IntegStatus::ShadowSquash;
+    for (bool *f :
+         {&w.renamed, &w.hasSrc1, &w.hasSrc2, &w.hasDest, &w.oldDestValid,
+          &w.integrated, &w.reverseIntegrated, &w.needsRs, &w.inRs,
+          &w.issued, &w.completed, &w.waitingOperand, &w.isCtrl,
+          &w.resolved, &w.actualTaken, &w.mispredicted, &w.addrValid,
+          &w.speculativePastStore})
+        *f = true;
+    w.inst = Instruction{Opcode::ADDQ, 1, 2, 3, 99};
+    w.dec = &someDecoded;
+    w.fetchCycle = w.renameReadyCycle = w.renameCycle = 14;
+    w.producerSeq = w.renameStreamPos = 15;
+    w.issueCycle = w.completeCycle = 16;
+    w.actualTarget = 17;
+    w.effAddr = 18;
+    w.storeData = 19;
+    w.pred.isControl = w.pred.predTaken = true;
+    w.pred.predTarget = 20;
+    w.pred.dir.taken = w.pred.dir.usedGshare = true;
+    w.pred.dir.historyBefore = 21;
+    w.pred.rasBefore.tos = 22;
+    w.pred.rasBefore.topValue = 23;
+    w.pred.callDepth = 24;
+    w.createdEntry = w.sourceEntry = ITHandle{25, 26, 27, true, true};
+    w.lqIdx = w.sqIdx = 0;
+    w.squashCause = SquashCause::Misintegration;
+    pool.release(d);
+    ASSERT_EQ(pool.alloc(), d);
+
+    const DynInst &r = pool.get(d);
+    const DynInst fresh{};
+    EXPECT_EQ(r.selfHandle, d);
+    EXPECT_EQ(r.seq, fresh.seq);
+    EXPECT_EQ(r.earliestIssue, fresh.earliestIssue);
+    EXPECT_EQ(r.retryCycle, fresh.retryCycle);
+    EXPECT_EQ(r.pc, fresh.pc);
+    EXPECT_EQ(r.psrc1, fresh.psrc1);
+    EXPECT_EQ(r.psrc2, fresh.psrc2);
+    EXPECT_EQ(r.pdest, fresh.pdest);
+    EXPECT_EQ(r.oldDest, fresh.oldDest);
+    EXPECT_EQ(r.gsrc1, fresh.gsrc1);
+    EXPECT_EQ(r.gsrc2, fresh.gsrc2);
+    EXPECT_EQ(r.gdest, fresh.gdest);
+    EXPECT_EQ(r.oldDestGen, fresh.oldDestGen);
+    EXPECT_EQ(r.refcountAfter, fresh.refcountAfter);
+    EXPECT_EQ(r.integStatus, fresh.integStatus);
+    EXPECT_EQ(r.renamed, fresh.renamed);
+    EXPECT_EQ(r.hasSrc1, fresh.hasSrc1);
+    EXPECT_EQ(r.hasSrc2, fresh.hasSrc2);
+    EXPECT_EQ(r.hasDest, fresh.hasDest);
+    EXPECT_EQ(r.oldDestValid, fresh.oldDestValid);
+    EXPECT_EQ(r.integrated, fresh.integrated);
+    EXPECT_EQ(r.reverseIntegrated, fresh.reverseIntegrated);
+    EXPECT_EQ(r.needsRs, fresh.needsRs);
+    EXPECT_EQ(r.inRs, fresh.inRs);
+    EXPECT_EQ(r.issued, fresh.issued);
+    EXPECT_EQ(r.completed, fresh.completed);
+    EXPECT_EQ(r.waitingOperand, fresh.waitingOperand);
+    EXPECT_EQ(r.isCtrl, fresh.isCtrl);
+    EXPECT_EQ(r.resolved, fresh.resolved);
+    EXPECT_EQ(r.actualTaken, fresh.actualTaken);
+    EXPECT_EQ(r.mispredicted, fresh.mispredicted);
+    EXPECT_EQ(r.addrValid, fresh.addrValid);
+    EXPECT_EQ(r.speculativePastStore, fresh.speculativePastStore);
+    EXPECT_EQ(r.inst.op, fresh.inst.op);
+    EXPECT_EQ(r.inst.ra, fresh.inst.ra);
+    EXPECT_EQ(r.inst.rb, fresh.inst.rb);
+    EXPECT_EQ(r.inst.rc, fresh.inst.rc);
+    EXPECT_EQ(r.inst.imm, fresh.inst.imm);
+    EXPECT_EQ(r.dec, fresh.dec);
+    EXPECT_EQ(r.fetchCycle, fresh.fetchCycle);
+    EXPECT_EQ(r.renameReadyCycle, fresh.renameReadyCycle);
+    EXPECT_EQ(r.renameCycle, fresh.renameCycle);
+    EXPECT_EQ(r.producerSeq, fresh.producerSeq);
+    EXPECT_EQ(r.renameStreamPos, fresh.renameStreamPos);
+    EXPECT_EQ(r.issueCycle, fresh.issueCycle);
+    EXPECT_EQ(r.completeCycle, fresh.completeCycle);
+    EXPECT_EQ(r.actualTarget, fresh.actualTarget);
+    EXPECT_EQ(r.effAddr, fresh.effAddr);
+    EXPECT_EQ(r.storeData, fresh.storeData);
+    EXPECT_EQ(r.pred.isControl, fresh.pred.isControl);
+    EXPECT_EQ(r.pred.predTaken, fresh.pred.predTaken);
+    EXPECT_EQ(r.pred.predTarget, fresh.pred.predTarget);
+    EXPECT_EQ(r.pred.dir.taken, fresh.pred.dir.taken);
+    EXPECT_EQ(r.pred.dir.usedGshare, fresh.pred.dir.usedGshare);
+    EXPECT_EQ(r.pred.dir.historyBefore, fresh.pred.dir.historyBefore);
+    EXPECT_EQ(r.pred.rasBefore.tos, fresh.pred.rasBefore.tos);
+    EXPECT_EQ(r.pred.rasBefore.topValue, fresh.pred.rasBefore.topValue);
+    EXPECT_EQ(r.pred.callDepth, fresh.pred.callDepth);
+    for (const ITHandle *hd : {&r.createdEntry, &r.sourceEntry}) {
+        EXPECT_EQ(hd->id, fresh.createdEntry.id);
+        EXPECT_EQ(hd->set, fresh.createdEntry.set);
+        EXPECT_EQ(hd->way, fresh.createdEntry.way);
+        EXPECT_EQ(hd->valid, fresh.createdEntry.valid);
+        EXPECT_EQ(hd->isPending, fresh.createdEntry.isPending);
+    }
+    EXPECT_EQ(r.lqIdx, fresh.lqIdx);
+    EXPECT_EQ(r.sqIdx, fresh.sqIdx);
+    EXPECT_EQ(r.squashCause, fresh.squashCause);
+}
+
+TEST(CompletionQueue, FiresEachCycleInAgeOrder)
+{
+    using Ev = CompletionQueue::Event;
+    CompletionQueue q;
+    const Cycle far = 5 + 3 * CompletionQueue::horizon;
+    // Scheduled out of age order, some beyond the ring's horizon.
+    q.push(7, 30, 3, 5);
+    q.push(far, 12, 4, 5);
+    q.push(7, 10, 1, 5);
+    q.push(far, 11, 5, 5);
+    q.push(8, 40, 6, 5);
+    q.push(7, 20, 2, 5);
+
+    std::vector<std::pair<Cycle, InstSeqNum>> fired;
+    for (Cycle c = 6; c <= far + 1; ++c) {
+        for (const Ev &ev : q.take(c)) {
+            EXPECT_EQ(ev.when, c);
+            fired.push_back({c, ev.seq});
+        }
+        if (c == 6) // pushes after a take land in later buckets
+            q.push(9, 5, 7, c);
+    }
+    const std::vector<std::pair<Cycle, InstSeqNum>> want = {
+        {7, 10}, {7, 20}, {7, 30}, {8, 40}, {9, 5}, {far, 11}, {far, 12}};
+    EXPECT_EQ(fired, want);
+
+    q.push(far + 10, 1, 8, far + 1);
+    q.clear();
+    for (Cycle c = far + 2; c <= far + 11; ++c)
+        EXPECT_TRUE(q.take(c).empty());
 }
 
 TEST(DynInstPool, HandleStabilityAcrossGrowth)

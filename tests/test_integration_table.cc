@@ -6,6 +6,7 @@
  * index-distribution properties of the call-depth mix.
  */
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -125,6 +126,73 @@ TEST(ItTable, LruReplacementWithinSet)
     EXPECT_NE(it.lookup(key(Opcode::ADDQI, 0, 5, 1)), nullptr);
     EXPECT_EQ(it.lookup(key(Opcode::ADDQI, 1, 5, 1)), nullptr); // LRU out
     EXPECT_GE(it.replacements(), 1u);
+
+    // Victim order: an exact duplicate, then the first invalid way,
+    // then the least recent way. Refill the set with four new entries
+    // (20 becomes its LRU way); an invalidated way is then refilled
+    // before the LRU way.
+    ITHandle h[4];
+    for (int i = 0; i < 4; ++i)
+        h[i] = it.insert(key(Opcode::ADDQI, 20 + i, 5, 1), true,
+                         PhysReg(20 + i), 0, false, false, u64(20 + i));
+    const u64 replaced = it.replacements();
+    it.invalidate(h[2]);
+    ITHandle got = it.insert(key(Opcode::ADDQI, 30, 5, 1), true, 30, 0,
+                             false, false, 30);
+    EXPECT_EQ(got.way, h[2].way);
+    EXPECT_EQ(it.replacements(), replaced); // refill, not replacement
+    EXPECT_NE(it.lookup(key(Opcode::ADDQI, 20, 5, 1)), nullptr); // LRU kept
+
+    // With two invalid ways, the lower one is taken, then the other.
+    it.invalidate(h[3]);
+    it.invalidate(h[1]);
+    got = it.insert(key(Opcode::ADDQI, 31, 5, 1), true, 31, 0, false,
+                    false, 31);
+    EXPECT_EQ(got.way, std::min(h[1].way, h[3].way));
+    got = it.insert(key(Opcode::ADDQI, 32, 5, 1), true, 32, 0, false,
+                    false, 32);
+    EXPECT_EQ(got.way, std::max(h[1].way, h[3].way));
+    EXPECT_EQ(it.replacements(), replaced);
+}
+
+TEST(ItTable, CarriedProbeReusesOrRechoosesVictim)
+{
+    // One set of four: fill it, so a missing key's victim is the LRU
+    // way.
+    IntegrationTable it(params(IntegrationMode::OpcodeIndexed, 4, 4));
+    ITHandle h[4];
+    for (int i = 0; i < 4; ++i)
+        h[i] = it.insert(key(Opcode::ADDQI, i, 5, 1), true, PhysReg(10 + i),
+                         0, false, false, u64(i));
+
+    // A missed lookup's probe carries the victim to the insert.
+    const ITKey ka = key(Opcode::ADDQI, 50, 5, 1);
+    ITProbe pa = it.probe(ka);
+    EXPECT_EQ(it.lookup(pa), nullptr);
+    ITHandle got = it.insert(pa, ka, true, 50, 0, false, false, 50);
+    EXPECT_EQ(got.way, h[0].way); // entry 0 was least recent
+
+    // A probe whose set changed since its lookup chooses again: the
+    // way it cached now holds a newer entry, which must survive.
+    const ITKey kb = key(Opcode::ADDQI, 51, 5, 1);
+    const ITKey kc = key(Opcode::ADDQI, 52, 5, 1);
+    ITProbe pb = it.probe(kb);
+    EXPECT_EQ(it.lookup(pb), nullptr); // victim: entry 1's way
+    got = it.insert(kc, true, 52, 0, false, false, 52);
+    EXPECT_EQ(got.way, h[1].way);
+    got = it.insert(pb, kb, true, 51, 0, false, false, 51);
+    EXPECT_EQ(got.way, h[2].way);
+    EXPECT_NE(it.lookup(kc), nullptr);
+    EXPECT_NE(it.lookup(kb), nullptr);
+
+    // A hit's probe inserts over the matching way (exact duplicate).
+    ITProbe pc = it.probe(ka);
+    ASSERT_NE(it.lookup(pc), nullptr);
+    const u64 replaced = it.replacements();
+    got = it.insert(pc, ka, true, 60, 0, false, false, 60);
+    EXPECT_EQ(got.way, h[0].way);
+    EXPECT_EQ(it.replacements(), replaced);
+    EXPECT_EQ(it.lookup(ka)->out, 60);
 }
 
 TEST(ItTable, DuplicateInsertOverwrites)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "base/rng.hh"
 #include "core/reg_state.hh"
@@ -236,10 +237,25 @@ TEST(RegState, SnapshotRestore)
 TEST(RegState, ExhaustionDetectable)
 {
     RegStateVector rs(smallParams(34));
+    std::vector<PhysReg> regs;
     for (int i = 0; i < 34; ++i) {
         ASSERT_TRUE(rs.canAllocate());
-        rs.allocate();
+        regs.push_back(rs.allocate());
     }
     EXPECT_FALSE(rs.canAllocate());
     EXPECT_EQ(rs.freeCount(), 0u);
+
+    // A failed tryAllocate() leaves the free queue as it was. Here its
+    // only entry is stale (the register was integrated again after it
+    // dropped to zero); once that register drops to zero once more,
+    // it is reallocated from its old, earlier queue position.
+    const PhysReg a = regs[5], b = regs[7];
+    rs.releaseOverwrite(a);
+    rs.addRef(a);
+    EXPECT_EQ(rs.tryAllocate(), invalidPhysReg);
+    rs.releaseOverwrite(b);
+    rs.releaseOverwrite(a);
+    EXPECT_EQ(rs.tryAllocate(), a);
+    EXPECT_EQ(rs.tryAllocate(), b);
+    EXPECT_EQ(rs.tryAllocate(), invalidPhysReg); // a's later entry: stale
 }
