@@ -30,11 +30,22 @@ paperIt()
     return p;
 }
 
+ITEntry
+regEntry(PhysReg out, u8 out_gen, u64 create_seq)
+{
+    ITEntry e;
+    e.hasOut = true;
+    e.out = out;
+    e.outGen = out_gen;
+    e.createSeq = create_seq;
+    return e;
+}
+
 void
 BM_ItLookupHit(benchmark::State &state)
 {
     IntegrationTable it(paperIt());
-    std::vector<ITKey> keys;
+    std::vector<ITProbe> probes;
     for (u32 i = 0; i < 256; ++i) {
         ITKey k;
         k.op = Opcode::ADDQI;
@@ -43,12 +54,12 @@ BM_ItLookupHit(benchmark::State &state)
         k.hasIn1 = true;
         k.in1 = PhysReg(i % 512);
         k.gen1 = u8(i % 16);
-        keys.push_back(k);
-        it.insert(k, true, PhysReg(i), 0, false, false, i);
+        probes.push_back(it.probe(k));
+        it.insert(probes.back(), regEntry(PhysReg(i), 0, i));
     }
     u32 i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(it.lookup(keys[i++ & 255]));
+        benchmark::DoNotOptimize(it.lookup(probes[i++ & 255]));
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -62,9 +73,11 @@ BM_ItLookupMiss(benchmark::State &state)
     k.hasIn1 = true;
     k.in1 = 3;
     u32 i = 0;
+    ITProbe pr;
     for (auto _ : state) {
         k.imm = s32(i++);
-        benchmark::DoNotOptimize(it.lookup(k));
+        it.probe(k, pr);
+        benchmark::DoNotOptimize(it.lookup(pr));
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -80,9 +93,8 @@ BM_ItInsert(benchmark::State &state)
     for (auto _ : state) {
         k.imm = s32(i & 0xffff);
         k.in1 = PhysReg(i % 1024);
-        benchmark::DoNotOptimize(
-            it.insert(k, true, PhysReg(i % 1024), u8(i % 16), false,
-                      false, i));
+        benchmark::DoNotOptimize(it.insert(
+            it.probe(k), regEntry(PhysReg(i % 1024), u8(i % 16), i)));
         ++i;
     }
     state.SetItemsProcessed(state.iterations());

@@ -93,41 +93,23 @@ void
 IntegrationEngine::drainPendingUntil(u64 now_seq)
 {
     while (!pending.empty() && pending.front().visibleAtSeq <= now_seq) {
-        PendingInsert &pi = pending.front();
-        ITHandle h = it.insert(pi.probe, pi.key, pi.hasOut, pi.out,
-                               pi.outGen, pi.reverse, pi.isBranch,
-                               pi.createSeq);
-        if (pi.isBranch && pi.outcomeValid)
-            it.fillBranchOutcome(h, pi.taken);
+        // The entry carries any outcome filled while it was pending.
+        const PendingInsert &pi = pending.front();
+        it.insert(pi.probe, pi.entry);
         pending.pop_front();
     }
 }
 
 ITHandle
-IntegrationEngine::enqueueOrInsert(const ITProbe &probe, const ITKey &key,
-                                   bool has_out, PhysReg out, u8 out_gen,
-                                   bool reverse, bool is_branch,
-                                   u64 create_seq)
+IntegrationEngine::enqueueOrInsert(const ITProbe &probe, const ITEntry &entry)
 {
     if (p.itWriteDelay == 0)
-        return it.insert(probe, key, has_out, out, out_gen, reverse,
-                         is_branch, create_seq);
-    PendingInsert pi;
-    pi.visibleAtSeq = create_seq + p.itWriteDelay;
-    pi.key = key;
-    pi.probe = probe;
-    pi.hasOut = has_out;
-    pi.out = out;
-    pi.outGen = out_gen;
-    pi.reverse = reverse;
-    pi.isBranch = is_branch;
-    pi.createSeq = create_seq;
-    pi.id = nextPendingId++;
-    pending.push_back(pi);
+        return it.insert(probe, entry);
+    pending.push_back({entry.createSeq + p.itWriteDelay, probe, entry});
     ITHandle h;
     h.valid = true;
     h.isPending = true;
-    h.id = pi.id;
+    h.id = pending.back().entry.id = nextPendingId++;
     return h;
 }
 
@@ -145,24 +127,31 @@ IntegrationEngine::recordEntries(const RenameCandidate &cand, bool has_dest,
 
     // Direct entry (only when integration failed: an integrating
     // instruction's result already is the matching entry).
-    if (!integrated && classCreatesEntry(inst)) {
-        const bool is_branch = inst.isCondBranch();
-        const ITKey key = keyFor(cand);
+    if (!integrated && classIntegrates(inst)) {
         ITProbe fresh;
         if (!probe || !probe->made()) {
-            it.probe(key, fresh);
+            it.probe(keyFor(cand), fresh);
             probe = &fresh;
         }
-        ITHandle h = enqueueOrInsert(*probe, key, has_dest, dest, dest_gen,
-                                     /*reverse=*/false, is_branch,
-                                     cand.seq);
+        ITEntry e;
+        e.hasOut = has_dest;
+        e.out = dest;
+        e.outGen = dest_gen;
+        e.isBranch = inst.isCondBranch();
+        e.createSeq = cand.seq;
+        ITHandle h = enqueueOrInsert(*probe, e);
         ++nDirectEntries;
-        if (is_branch)
+        if (e.isBranch)
             branch_handle = h;
     }
 
     if (!modeHasReverse(p.mode))
         return branch_handle;
+
+    ITEntry rev;
+    rev.hasOut = true;
+    rev.reverse = true;
+    rev.createSeq = cand.seq;
 
     // Reverse entry for stack-pointer-based stores: the complementary
     // load <ldq/imm, base, -> data-register>.
@@ -176,9 +165,9 @@ IntegrationEngine::recordEntries(const RenameCandidate &cand, bool has_dest,
         rkey.hasIn1 = true;
         rkey.in1 = cand.src1;        // base (stack pointer)
         rkey.gen1 = cand.src1Gen;
-        enqueueOrInsert(it.probe(rkey), rkey, /*has_out=*/true, cand.src2,
-                        cand.src2Gen, /*reverse=*/true, /*is_branch=*/false,
-                        cand.seq);
+        rev.out = cand.src2;         // data register
+        rev.outGen = cand.src2Gen;
+        enqueueOrInsert(it.probe(rkey), rev);
         ++nReverseEntries;
     }
 
@@ -197,9 +186,9 @@ IntegrationEngine::recordEntries(const RenameCandidate &cand, bool has_dest,
         rkey.hasIn1 = true;
         rkey.in1 = dest;          // the decremented stack pointer
         rkey.gen1 = dest_gen;
-        enqueueOrInsert(it.probe(rkey), rkey, /*has_out=*/true, cand.src1,
-                        cand.src1Gen, /*reverse=*/true, /*is_branch=*/false,
-                        cand.seq);
+        rev.out = cand.src1;      // the stack pointer before it
+        rev.outGen = cand.src1Gen;
+        enqueueOrInsert(it.probe(rkey), rev);
         ++nReverseEntries;
     }
 
@@ -211,9 +200,9 @@ IntegrationEngine::fillBranchOutcome(const ITHandle &h, bool taken)
 {
     if (h.isPending) {
         for (auto &pi : pending) {
-            if (pi.id == h.id) {
-                pi.outcomeValid = true;
-                pi.taken = taken;
+            if (pi.entry.id == h.id) {
+                pi.entry.outcomeValid = true;
+                pi.entry.taken = taken;
                 return;
             }
         }

@@ -79,7 +79,10 @@ class IntegrationEngine
      *  power-on state: empty IT, cold LISP, no pending writes. */
     void reset(const IntegrationParams &params);
 
-    /** True when this instruction's class may integrate results. */
+    /** True when this instruction's class may integrate results; the
+     *  same classes create a direct entry when they do not (entries
+     *  describe results that future instances, or squashed-and-
+     *  refetched ones, may integrate). */
     static bool
     classIntegrates(const Instruction &inst)
     {
@@ -94,15 +97,6 @@ class IntegrationEngine
           default:
             return false;
         }
-    }
-
-    /** True when this instruction's class creates a direct entry. */
-    static bool
-    classCreatesEntry(const Instruction &inst)
-    {
-        // Same classes: entries describe results that future instances
-        // (or squashed-and-refetched instances) may integrate.
-        return classIntegrates(inst);
     }
 
     /**
@@ -159,17 +153,8 @@ class IntegrationEngine
     struct PendingInsert
     {
         u64 visibleAtSeq = 0;
-        ITKey key;
         ITProbe probe; // the key's probe, made at rename
-        bool hasOut = false;
-        PhysReg out = invalidPhysReg;
-        u8 outGen = 0;
-        bool reverse = false;
-        bool isBranch = false;
-        u64 createSeq = 0;
-        u64 id = 0; // pending-handle id (for branch-outcome fills)
-        bool outcomeValid = false;
-        bool taken = false;
+        ITEntry entry; // its id names the pending record until drained
     };
 
     void
@@ -179,9 +164,7 @@ class IntegrationEngine
             drainPendingUntil(now_seq);
     }
     void drainPendingUntil(u64 now_seq);
-    ITHandle enqueueOrInsert(const ITProbe &probe, const ITKey &key,
-                             bool has_out, PhysReg out, u8 out_gen,
-                             bool reverse, bool is_branch, u64 create_seq);
+    ITHandle enqueueOrInsert(const ITProbe &probe, const ITEntry &entry);
 
     IntegrationParams p;
     RegStateVector &regs;

@@ -82,9 +82,7 @@ IntegrationTable::lookup(ITProbe &pr, ITHandle *handle)
 }
 
 ITHandle
-IntegrationTable::insert(const ITProbe &pr, const ITKey &key, bool has_out,
-                         PhysReg out, u8 out_gen, bool reverse,
-                         bool is_branch, u64 create_seq)
+IntegrationTable::insert(const ITProbe &pr, const ITEntry &payload)
 {
     ++nInserts;
     // The victim a lookup of this probe chose holds while the table is
@@ -97,26 +95,9 @@ IntegrationTable::insert(const ITProbe &pr, const ITKey &key, bool has_out,
 
     const size_t i = size_t(pr.set) * assoc + scan.way;
     ITEntry &e = table[i];
-    e.valid = true;
-    e.reverse = reverse;
-    e.op = key.op;
-    e.imm = key.imm;
-    e.pcTag = key.pc;
-    e.hasIn1 = key.hasIn1;
-    e.hasIn2 = key.hasIn2;
-    e.in1 = key.in1;
-    e.in2 = key.in2;
-    e.gen1 = key.gen1;
-    e.gen2 = key.gen2;
-    e.hasOut = has_out;
-    e.out = out;
-    e.outGen = out_gen;
-    e.isBranch = is_branch;
-    e.outcomeValid = false;
-    e.taken = false;
+    e = payload;
     e.id = nextId++;
-    e.createSeq = create_seq;
-    ways[i] = ProbeWords{pr.tag, pr.input, key.pc, ++lruClock};
+    ways[i] = ProbeWords{pr.tag, pr.input, pr.pc, ++lruClock};
     ++epoch;
 
     return ITHandle{e.id, pr.set, u16(scan.way), true};
@@ -127,8 +108,8 @@ IntegrationTable::at(const ITHandle &h)
 {
     if (!h.valid)
         return nullptr;
-    ITEntry &e = table[size_t(h.set) * assoc + h.way];
-    return (e.valid && e.id == h.id) ? &e : nullptr;
+    const size_t i = size_t(h.set) * assoc + h.way;
+    return (ways[i].tag != 0 && table[i].id == h.id) ? &table[i] : nullptr;
 }
 
 void
@@ -145,8 +126,7 @@ IntegrationTable::fillBranchOutcome(const ITHandle &h, bool taken)
 void
 IntegrationTable::invalidate(const ITHandle &h)
 {
-    if (ITEntry *e = at(h)) {
-        e->valid = false;
+    if (at(h)) {
         ways[size_t(h.set) * assoc + h.way].tag = 0;
         ++epoch;
     }
@@ -155,8 +135,6 @@ IntegrationTable::invalidate(const ITHandle &h)
 void
 IntegrationTable::invalidateAll()
 {
-    for (auto &e : table)
-        e.valid = false;
     for (auto &pw : ways)
         pw.tag = 0;
     ++epoch;

@@ -36,33 +36,28 @@
 namespace rix
 {
 
+/**
+ * The payload row of one way: what a hit reads and what an outcome
+ * fill writes. The entry's identity (operation, inputs, PC) lives only
+ * in the way's probe words, and the way is valid while its tag word is
+ * non-zero.
+ */
 struct ITEntry
 {
-    bool valid = false;
-    bool reverse = false;   // created as a reverse entry
-
-    // Operation identity (tag).
-    Opcode op = Opcode::NOP;
-    s32 imm = 0;
-    u64 pcTag = 0;          // participates in the tag under PC indexing
-
-    // Input operands as physical registers + generations.
-    bool hasIn1 = false, hasIn2 = false;
-    PhysReg in1 = invalidPhysReg, in2 = invalidPhysReg;
-    u8 gen1 = 0, gen2 = 0;
+    u64 id = 0;         // unique, for outcome-fill handles
+    u64 createSeq = 0;  // rename-stream position of the creator
 
     // Output physical register (absent for branch entries).
-    bool hasOut = false;
     PhysReg out = invalidPhysReg;
     u8 outGen = 0;
+    bool hasOut = false;
+
+    bool reverse = false;   // created as a reverse entry
 
     // Branch outcome payload.
     bool isBranch = false;
     bool outcomeValid = false;
     bool taken = false;
-
-    u64 id = 0;         // unique, for outcome-fill handles
-    u64 createSeq = 0;  // rename-stream position of the creator
 };
 
 /** Stable reference to an entry, validated by id on use. Packed to 16
@@ -156,30 +151,13 @@ class IntegrationTable
      */
     ITEntry *lookup(ITProbe &pr, ITHandle *handle = nullptr);
 
-    ITEntry *
-    lookup(const ITKey &key, ITHandle *handle = nullptr)
-    {
-        ITProbe pr = probe(key);
-        return lookup(pr, handle);
-    }
-
     /**
-     * Insert an entry built from @p key (probed as @p pr) with the
-     * given output register. The victim is, in order: the exact
-     * tag+input duplicate (overwritten in place), the first invalid
-     * way, the least recently used way.
+     * Write @p payload under the probed key (its PC is @p pr's) and
+     * give it a fresh id. The victim is, in order: the exact tag+input
+     * duplicate (overwritten in place), the first invalid way, the
+     * least recently used way.
      */
-    ITHandle insert(const ITProbe &pr, const ITKey &key, bool has_out,
-                    PhysReg out, u8 out_gen, bool reverse, bool is_branch,
-                    u64 create_seq);
-
-    ITHandle
-    insert(const ITKey &key, bool has_out, PhysReg out, u8 out_gen,
-           bool reverse, bool is_branch, u64 create_seq)
-    {
-        return insert(probe(key), key, has_out, out, out_gen, reverse,
-                      is_branch, create_seq);
-    }
+    ITHandle insert(const ITProbe &pr, const ITEntry &payload);
 
     /** Record the outcome of the branch that created @p h, if it still
      *  owns the entry. */

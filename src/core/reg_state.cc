@@ -122,36 +122,4 @@ RegStateVector::checkNoLeaks() const
     return true;
 }
 
-RegStateVector::Snapshot
-RegStateVector::snapshot() const
-{
-    Snapshot s;
-    s.counts.reserve(entries.size());
-    s.gens.reserve(entries.size());
-    s.flags.reserve(entries.size());
-    for (const auto &e : entries) {
-        s.counts.push_back(e.count);
-        s.gens.push_back(e.gen);
-        s.flags.push_back(u8(e.valid) | u8(e.ready) << 1 |
-                          u8(e.pinnedReg) << 2 | u8(e.origin) << 3);
-    }
-    s.freeQueue = freeQueue;
-    return s;
-}
-
-void
-RegStateVector::restore(const Snapshot &s)
-{
-    for (size_t i = 0; i < entries.size(); ++i) {
-        Entry &e = entries[i];
-        e.count = s.counts[i];
-        e.gen = s.gens[i];
-        e.valid = s.flags[i] & 1;
-        e.ready = (s.flags[i] >> 1) & 1;
-        e.pinnedReg = (s.flags[i] >> 2) & 1;
-        e.origin = ZeroOrigin((s.flags[i] >> 3) & 3);
-    }
-    freeQueue = s.freeQueue;
-}
-
 } // namespace rix

@@ -57,16 +57,6 @@ class RegStateVector
     /** Registers currently reclaimable (count == 0, not pinned). */
     unsigned freeCount() const;
 
-    /** True when allocate() can succeed. */
-    bool
-    canAllocate() const
-    {
-        for (PhysReg r : freeQueue)
-            if (reclaimable(r))
-                return true;
-        return false;
-    }
-
     /**
      * Allocate a register in FIFO order. The register transitions to
      * count=1, valid (a mapped register is integration-eligible), not
@@ -75,9 +65,8 @@ class RegStateVector
     PhysReg allocate();
 
     /**
-     * allocate() when canAllocate(), else invalidPhysReg with the free
-     * queue untouched: one pass instead of canAllocate() rescanning
-     * the stale prefix that allocate() then pops.
+     * allocate() when a register is reclaimable, else invalidPhysReg
+     * with the free queue untouched, in one pass over the queue.
      */
     PhysReg
     tryAllocate()
@@ -167,16 +156,6 @@ class RegStateVector
      * reachable through the free queue (no leaks). O(n); test use.
      */
     bool checkNoLeaks() const;
-
-    /** Full-state snapshot/restore (monolithic checkpointing; tests). */
-    struct Snapshot
-    {
-        std::vector<u8> counts, gens;
-        std::vector<u8> flags;
-        std::deque<PhysReg> freeQueue;
-    };
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
 
   private:
     struct Entry

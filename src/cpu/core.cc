@@ -17,8 +17,7 @@ Core::Core(const Program &program, const CoreParams &params)
       pregValue(p.integ.numPhysRegs, 0),
       pool(size_t(p.robSize) + p.fetchQueueSize + 1),
       fetchQueue(p.fetchQueueSize), rob(p.robSize),
-      integWaiters(p.integ.numPhysRegs),
-      operandWaiters(p.integ.numPhysRegs), issuePrio(p.rsSize),
+      waiters(p.integ.numPhysRegs), issuePrio(p.rsSize),
       issueRest(p.rsSize), issueMask((rob.slots() + 63) / 64, 0)
 {
     checkRobSlots();
@@ -67,11 +66,8 @@ Core::resetMicroarch(const Program &program, const CoreParams &params)
 
     // Event plumbing and issue scratch.
     completions.clear();
-    integWaiters.resize(p.integ.numPhysRegs);
-    for (auto &w : integWaiters)
-        w.clear();
-    operandWaiters.resize(p.integ.numPhysRegs);
-    for (auto &w : operandWaiters)
+    waiters.resize(p.integ.numPhysRegs);
+    for (auto &w : waiters)
         w.clear();
     issuePrio.resize(p.rsSize);
     issueRest.resize(p.rsSize);
@@ -133,12 +129,6 @@ Core::initArchState()
     // to simulate.
     fetchPc = golden_.pc();
     done = golden_.halted();
-}
-
-Core::Mapping
-Core::lookupMap(LogReg r) const
-{
-    return map[r];
 }
 
 const DynInst *

@@ -60,8 +60,8 @@ class Core
      * Rebind to a new program/configuration and return to the
      * power-on state, producing bit-identical simulations to a
      * freshly constructed Core. The expensive long-lived storage —
-     * instruction-pool slabs, sparse-memory pages, integration-table
-     * lanes, cache/predictor arrays — is reused instead of being
+     * the instruction pool, sparse-memory pages, integration-table
+     * arrays, cache/predictor arrays — is reused instead of being
      * reallocated, which is what makes a per-worker core context
      * cheap to recycle across sweep jobs.
      */
@@ -224,7 +224,6 @@ class Core
 
     // ---- rename helpers ----
     bool renameOne(InstHandle h);
-    Mapping lookupMap(LogReg r) const;
     bool oracleWouldMisintegrate(const DynInst &di,
                                  const IntegrationResult &res) const;
     void applyIntegration(DynInst &di, const IntegrationResult &res);
@@ -237,7 +236,6 @@ class Core
      *  it; retry-backoff and CHT-blocked candidates return false
      *  without parking and are re-polled. */
     bool checkReadyOrPark(DynInst &di);
-    void wakeOperandWaiters(PhysReg preg);
     void
     setIssueBit(u16 slot)
     {
@@ -336,8 +334,9 @@ class Core
     PhysReg zeroPreg = invalidPhysReg;
 
     // ---- windows ----
-    // In-flight instructions live in the slab pool; the fetch queue
-    // and ROB are rings of handles into it (no per-inst heap traffic).
+    // In-flight instructions live in the fixed pool, sized to the
+    // fetch queue plus the ROB; the fetch queue and ROB are rings of
+    // handles into it (no per-inst heap traffic).
     DynInstPool pool;
     HandleRing fetchQueue;
     HandleRing rob;
@@ -351,12 +350,11 @@ class Core
     // squashes the younger before it can resolve. Events carry a
     // validated handle so firing one is O(1) (no ROB search).
     CompletionQueue completions;
-    // Indexed by physical register; inner vectors are cleared (capacity
-    // kept) when drained.
-    std::vector<std::vector<InstRef>> integWaiters;
-    // RS instructions parked until a source register becomes ready
-    // (same indexing/validation discipline as integWaiters).
-    std::vector<std::vector<InstRef>> operandWaiters;
+    // Instructions waiting for a physical register's value, indexed by
+    // that register: integrated instructions that complete with it and
+    // RS instructions parked on it as a source. Writeback drains a
+    // register's list once (clearing it, capacity kept).
+    std::vector<std::vector<InstRef>> waiters;
     // Issue-candidate buffers (priority and other), rsSize entries
     // each, reused every cycle.
     std::vector<InstRef> issuePrio, issueRest;

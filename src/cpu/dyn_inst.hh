@@ -73,7 +73,6 @@ struct DynInst
     // Integration.
     bool integrated = false;
     // Execution state.
-    bool needsRs = false;
     bool inRs = false;
     bool issued = false;
     bool completed = false;
@@ -100,7 +99,6 @@ struct DynInst
     ITHandle sourceEntry;       // entry this inst integrated from
 
     u32 selfHandle = ~u32(0);   // own pool handle, set at allocation
-    int lqIdx = -1, sqIdx = -1; // -1: no queue entry (integrated loads!)
 
     PhysReg oldDest = invalidPhysReg; // previous mapping of dest lreg
     u8 oldDestGen = 0;

@@ -1,29 +1,25 @@
 /**
  * @file
- * Slab allocator and ring buffers for in-flight instructions.
+ * Fixed-size pool and ring buffers for in-flight instructions.
  *
  * The rename-rate of the simulator is gated by how fast DynInst
  * records can be produced and retired. The original pipeline paid one
  * heap allocation per fetched instruction plus a pointer chase per
  * window access (std::deque<std::unique_ptr<DynInst>>); here the
- * records live in fixed slabs that are never freed while the core is
- * alive, identified by dense 32-bit handles recycled through a free
- * list. After the first few thousand instructions the simulator's
- * fetch-to-retire loop performs no allocation at all.
- *
- * Slabs (not one growable array) keep every DynInst* stable: growing
- * the pool appends a slab instead of reallocating, so raw pointers
- * held across a grow (e.g. the instruction being renamed) stay valid.
+ * records live in one array sized at reset to the most instructions
+ * the core can hold in flight, identified by dense 32-bit handles
+ * recycled through a LIFO free list. The fetch-to-retire loop performs
+ * no allocation at all.
  */
 
 #ifndef RIX_CPU_DYN_INST_POOL_HH
 #define RIX_CPU_DYN_INST_POOL_HH
 
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
 
+#include "base/log.hh"
 #include "cpu/dyn_inst.hh"
 
 namespace rix
@@ -40,27 +36,24 @@ static_assert(std::is_trivially_destructible_v<DynInst>);
 class DynInstPool
 {
   public:
-    static constexpr unsigned slabShift = 8;
-    static constexpr unsigned slabInsts = 1u << slabShift; // 256/slab
+    explicit DynInstPool(size_t capacity) { reset(capacity); }
 
-    /** @p reserve in-flight instructions are pre-materialized. */
-    explicit DynInstPool(size_t reserve = 0) { reset(reserve); }
-
-    /** Fresh (default-initialized) record. Never fails: the pool grows
-     *  by whole slabs when the free list runs dry. */
+    /** Fresh (default-initialized) record. The pool never grows: the
+     *  core sizes it to its fetch queue plus ROB, so running dry is a
+     *  simulator bug and panics. */
     InstHandle
     alloc()
     {
         if (freeList.empty())
-            activateSlab();
+            rix_panic("DynInst pool exhausted (%zu records)",
+                      records.size());
         const InstHandle h = freeList.back();
         freeList.pop_back();
         // Construct the fresh record directly in its slot: assigning
         // a DynInst{} temporary instead zero-fills a stack copy and
         // then copies all of it into the slot.
-        DynInst &di = *::new (&get(h)) DynInst{};
+        DynInst &di = *::new (&records[h]) DynInst{};
         di.selfHandle = h;
-        ++inUse_;
         return h;
     }
 
@@ -72,72 +65,34 @@ class DynInstPool
     void
     release(InstHandle h)
     {
-        get(h).seq = 0;
+        records[h].seq = 0;
         freeList.push_back(h);
-        --inUse_;
     }
 
-    DynInst &
-    get(InstHandle h)
-    {
-        return slabs[h >> slabShift][h & (slabInsts - 1)];
-    }
+    DynInst &get(InstHandle h) { return records[h]; }
+    const DynInst &get(InstHandle h) const { return records[h]; }
 
-    const DynInst &
-    get(InstHandle h) const
-    {
-        return slabs[h >> slabShift][h & (slabInsts - 1)];
-    }
-
-    size_t capacity() const { return slabs.size() * slabInsts; }
-    size_t inUse() const { return inUse_; }
+    size_t capacity() const { return records.size(); }
+    size_t inUse() const { return records.size() - freeList.size(); }
 
     /**
-     * Return to the freshly-constructed state while keeping every
-     * already-materialized slab's storage. Only the slabs a fresh
-     * pool of this reserve would have materialized are put back on
-     * the free list; retained extra slabs are re-activated lazily in
-     * the same order alloc() would have created them — so the handle
-     * sequence handed out after a reset is identical to a brand-new
-     * pool's in every case, and reusing a context cannot perturb
-     * handle assignment. Any outstanding handles are invalidated (the
-     * caller must have dropped its references).
+     * Resize to @p capacity records, all free, reusing the storage.
+     * Handles come out lowest first, so the handle sequence after a
+     * reset is a fresh pool's. Any outstanding handles are
+     * invalidated (the caller must have dropped its references).
      */
     void
-    reset(size_t reserve = 0)
+    reset(size_t capacity)
     {
-        // Zero every retained slot's seq so stale (handle, seq) pairs
-        // held anywhere fail validation immediately.
-        for (auto &slab : slabs)
-            for (unsigned i = 0; i < slabInsts; ++i)
-                slab[i].seq = 0;
-        freeList.clear();
-        activeSlabs = 0;
-        while (activeSlabs * slabInsts < reserve)
-            activateSlab();
-        inUse_ = 0;
+        records.assign(capacity, DynInst{});
+        freeList.resize(capacity);
+        for (size_t i = 0; i < capacity; ++i)
+            freeList[i] = InstHandle(capacity - 1 - i);
     }
 
   private:
-    /** Put the next slab's handles on the free list, materializing it
-     *  only when no retained (post-reset) slab is available. */
-    void
-    activateSlab()
-    {
-        if (activeSlabs == slabs.size())
-            slabs.push_back(std::make_unique<DynInst[]>(slabInsts));
-        const InstHandle base = InstHandle(activeSlabs * slabInsts);
-        // Stack the slab's handles so the lowest index comes out
-        // first (purely cosmetic: keeps handles dense in traces).
-        for (unsigned i = slabInsts; i-- > 0;)
-            freeList.push_back(base + i);
-        ++activeSlabs;
-    }
-
-    std::vector<std::unique_ptr<DynInst[]>> slabs;
+    std::vector<DynInst> records;
     std::vector<InstHandle> freeList;
-    size_t activeSlabs = 0;
-    size_t inUse_ = 0;
 };
 
 /**

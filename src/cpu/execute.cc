@@ -38,13 +38,13 @@ Core::checkReadyOrPark(DynInst &di)
     if (di.hasSrc1 && !regState.ready(di.psrc1)) {
         di.waitingOperand = true;
         clearIssueBit(di.robSlot);
-        operandWaiters[di.psrc1].emplace_back(di.selfHandle, di.seq);
+        waiters[di.psrc1].emplace_back(di.selfHandle, di.seq);
         return false;
     }
     if (di.hasSrc2 && !regState.ready(di.psrc2)) {
         di.waitingOperand = true;
         clearIssueBit(di.robSlot);
-        operandWaiters[di.psrc2].emplace_back(di.selfHandle, di.seq);
+        waiters[di.psrc2].emplace_back(di.selfHandle, di.seq);
         return false;
     }
     if (di.retryCycle > cycle)
@@ -55,22 +55,6 @@ Core::checkReadyOrPark(DynInst &di)
             return false;
     }
     return true;
-}
-
-void
-Core::wakeOperandWaiters(PhysReg preg)
-{
-    std::vector<InstRef> &waiters = operandWaiters[preg];
-    if (waiters.empty())
-        return;
-    for (const InstRef &r : waiters) {
-        DynInst &w = pool.get(r.h);
-        if (w.seq == r.seq && w.waitingOperand) {
-            w.waitingOperand = false;
-            setIssueBit(w.robSlot); // a candidate again from this cycle
-        }
-    }
-    waiters.clear(); // keeps capacity for reuse
 }
 
 void
@@ -388,17 +372,20 @@ Core::writebackStage()
 
         if (di->hasDest && !di->integrated) {
             regState.markReady(di->pdest);
-            wakeOperandWaiters(di->pdest);
-            std::vector<InstRef> &waiters = integWaiters[di->pdest];
-            if (!waiters.empty()) {
-                for (const InstRef &r : waiters) {
-                    DynInst &waiter = pool.get(r.h);
-                    if (waiter.seq == r.seq && waiter.integrated &&
-                        !waiter.completed)
-                        completeNow(waiter, cycle);
+            std::vector<InstRef> &list = waiters[di->pdest];
+            for (const InstRef &r : list) {
+                DynInst &w = pool.get(r.h);
+                if (w.seq != r.seq)
+                    continue; // squashed since it parked
+                if (w.integrated) {
+                    if (!w.completed)
+                        completeNow(w, cycle);
+                } else if (w.waitingOperand) {
+                    w.waitingOperand = false;
+                    setIssueBit(w.robSlot); // a candidate from this cycle
                 }
-                waiters.clear(); // keeps capacity for reuse
             }
+            list.clear(); // keeps capacity for reuse
         }
 
         if (di->isCtrl && di->resolved)

@@ -111,7 +111,7 @@ Core::applyIntegration(DynInst &di, const IntegrationResult &res)
     if (regState.ready(res.preg)) {
         completeNow(di, cycle);
     } else {
-        integWaiters[res.preg].emplace_back(di.selfHandle, di.seq);
+        waiters[res.preg].emplace_back(di.selfHandle, di.seq);
     }
 }
 
@@ -143,14 +143,12 @@ Core::renameOne(InstHandle h)
     di.hasSrc1 = dec.readsRa();
     di.hasSrc2 = dec.readsRb();
     if (di.hasSrc1) {
-        const Mapping m = lookupMap(LogReg(dec.src1));
-        di.psrc1 = m.preg;
-        di.gsrc1 = m.gen;
+        di.psrc1 = map[dec.src1].preg;
+        di.gsrc1 = map[dec.src1].gen;
     }
     if (di.hasSrc2) {
-        const Mapping m = lookupMap(LogReg(dec.src2));
-        di.psrc2 = m.preg;
-        di.gsrc2 = m.gen;
+        di.psrc2 = map[dec.src2].preg;
+        di.gsrc2 = map[dec.src2].gen;
     }
 
     // ---- integration attempt ----
@@ -200,8 +198,8 @@ Core::renameOne(InstHandle h)
     }
 
     // ---- normal rename path ----
-    di.needsRs = dec.needsRs();
-    if (di.needsRs && rsBusy >= p.rsSize)
+    const bool needs_rs = dec.needsRs();
+    if (needs_rs && rsBusy >= p.rsSize)
         return false;
     if (dec.writesReg()) {
         const PhysReg pdest = regState.tryAllocate();
@@ -223,21 +221,18 @@ Core::renameOne(InstHandle h)
         integ.recordEntries(cand, di.hasDest, di.pdest, di.gdest,
                             /*integrated=*/false, &probe);
 
-    if (di.needsRs) {
+    if (needs_rs) {
         ++rsBusy;
         di.inRs = true;
     }
 
     // Queue allocation for memory operations.
-    if (dec.isLoad()) {
+    if (dec.isLoad())
         lq.push_back(
             LqEntry{di.seq, di.selfHandle, 0, dec.size, false, 0});
-        di.lqIdx = 0; // marker: owns an LQ entry
-    } else if (dec.isStore()) {
+    else if (dec.isStore())
         sq.push_back(
             SqEntry{di.seq, di.selfHandle, 0, dec.size, 0, false});
-        di.sqIdx = 0; // marker: owns an SQ entry
-    }
 
     // Instructions that never enter the execution engine.
     switch (dec.instClass()) {

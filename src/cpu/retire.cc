@@ -274,7 +274,7 @@ Core::retireStage()
                 rix_panic("SQ head mismatch at retire");
             writeBuffer.push(di.effAddr, cycle);
             sq.pop_front();
-        } else if (di.isLoad() && di.lqIdx >= 0) {
+        } else if (di.isLoad() && !di.integrated) { // owns an LQ entry
             if (lq.empty() || lq.front().seq != di.seq)
                 rix_panic("LQ head mismatch at retire");
             if (di.speculativePastStore) {

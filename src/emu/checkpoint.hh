@@ -49,7 +49,7 @@ struct Checkpoint
     bool diffVsImage = false;
     std::vector<Memory::PageImage> pages;
 
-    /** Snapshot payload size (compactness introspection; tests). */
+    /** Memory payload size (compactness introspection; tests). */
     size_t
     memoryBytes() const
     {

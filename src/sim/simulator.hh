@@ -27,7 +27,7 @@ struct SimReport
     double ipc() const { return core.ipc(); }
 };
 
-/** Snapshot the report of a finished (or stopped) core. */
+/** Collect the report of a finished (or stopped) core. */
 SimReport collectReport(Core &core, const std::string &workload);
 
 /**

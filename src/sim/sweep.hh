@@ -13,8 +13,8 @@
  *    read-only by every job (built once per (name, scale));
  *  - every job runs through one body, runJobOnThread, shared with the
  *    `rix serve` daemon: each thread owns one long-lived SimContext
- *    whose Core is reset() between jobs, reusing the instruction-pool
- *    slabs, sparse memory pages, IT lanes and predictor arrays instead
+ *    whose Core is reset() between jobs, reusing the instruction
+ *    pool, sparse memory pages, IT arrays and predictor arrays instead
  *    of paying construction per point;
  *  - results land in a pre-sized slot per job, so the output vector
  *    order equals the submission order no matter which worker finished

@@ -396,38 +396,54 @@ loop:   addqi t0, t0, 1
 
 // ---- DynInst pool / handle machinery ----
 
-TEST(DynInstPool, ExhaustionGrowsAndRecycles)
+TEST(DynInstPool, FixedCapacityRecyclesLifo)
 {
-    DynInstPool pool(8); // one pre-sized slab's worth
-    const size_t cap0 = pool.capacity();
+    DynInstPool pool(8);
+    EXPECT_EQ(pool.capacity(), 8u);
+    // A fresh pool hands out its handles lowest first.
     std::vector<InstHandle> held;
-    // Exhaust the initial capacity and keep going: the pool must grow
-    // by whole slabs rather than fail.
-    for (size_t i = 0; i < cap0 + 3 * DynInstPool::slabInsts; ++i) {
+    for (size_t i = 0; i < 8; ++i) {
         const InstHandle h = pool.alloc();
+        EXPECT_EQ(h, InstHandle(i));
         pool.get(h).seq = InstSeqNum(i + 1);
         held.push_back(h);
     }
-    EXPECT_GT(pool.capacity(), cap0);
-    EXPECT_EQ(pool.inUse(), held.size());
-    // All handles are distinct live records.
+    EXPECT_EQ(pool.inUse(), 8u);
     for (size_t i = 0; i < held.size(); ++i)
         EXPECT_EQ(pool.get(held[i]).seq, InstSeqNum(i + 1));
 
-    // Release everything; re-allocation recycles without growth.
-    const size_t cap1 = pool.capacity();
-    for (InstHandle h : held)
-        pool.release(h);
-    EXPECT_EQ(pool.inUse(), 0u);
-    for (size_t i = 0; i < cap1; ++i) {
+    // Released handles come back last-in first-out, as fully reset
+    // records, and the pool never grows.
+    pool.release(held[2]);
+    pool.release(held[5]);
+    pool.release(held[0]);
+    EXPECT_EQ(pool.inUse(), 5u);
+    for (const InstHandle want : {held[0], held[5], held[2]}) {
         const InstHandle h = pool.alloc();
-        // Recycled records come back fully reset.
+        EXPECT_EQ(h, want);
         EXPECT_EQ(pool.get(h).seq, 0u);
         EXPECT_FALSE(pool.get(h).renamed);
         EXPECT_EQ(pool.get(h).pdest, invalidPhysReg);
         EXPECT_EQ(pool.get(h).selfHandle, h);
     }
-    EXPECT_EQ(pool.capacity(), cap1); // no growth needed
+    EXPECT_EQ(pool.capacity(), 8u);
+    EXPECT_EQ(pool.inUse(), 8u);
+
+    // reset() frees everything and restarts the fresh handle order.
+    pool.reset(4);
+    EXPECT_EQ(pool.capacity(), 4u);
+    EXPECT_EQ(pool.inUse(), 0u);
+    EXPECT_EQ(pool.alloc(), 0u);
+}
+
+TEST(DynInstPoolDeathTest, ExhaustionPanics)
+{
+    // The core sizes the pool to the most instructions it can hold in
+    // flight, so a dry pool is a simulator bug, not a reason to grow.
+    DynInstPool pool(2);
+    pool.alloc();
+    pool.alloc();
+    EXPECT_DEATH(pool.alloc(), "pool exhausted");
 }
 
 TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
@@ -444,8 +460,8 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
     EXPECT_NE(pool.get(h).seq, 42u);
 
     // A recycled slot comes back as a default record: the pipeline
-    // reads some fields (retry cycle, status flags, refcount, queue
-    // markers, IT handles, squash cause) before any stage writes them.
+    // reads some fields (retry cycle, status flags, refcount, IT
+    // handles, squash cause) before any stage writes them.
     // Dirty every field, release, and take the same slot back (the
     // free list is LIFO).
     static const DecodedInst someDecoded{};
@@ -464,7 +480,7 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
     w.integStatus = IntegStatus::ShadowSquash;
     for (bool *f :
          {&w.renamed, &w.hasSrc1, &w.hasSrc2, &w.hasDest, &w.oldDestValid,
-          &w.integrated, &w.reverseIntegrated, &w.needsRs, &w.inRs,
+          &w.integrated, &w.reverseIntegrated, &w.inRs,
           &w.issued, &w.completed, &w.waitingOperand, &w.isCtrl,
           &w.resolved, &w.actualTaken, &w.mispredicted, &w.addrValid,
           &w.speculativePastStore})
@@ -485,7 +501,6 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
     w.pred.rasBefore.topValue = 23;
     w.pred.callDepth = 24;
     w.createdEntry = w.sourceEntry = ITHandle{25, 26, 27, true, true};
-    w.lqIdx = w.sqIdx = 0;
     w.squashCause = SquashCause::Misintegration;
     pool.release(d);
     ASSERT_EQ(pool.alloc(), d);
@@ -514,7 +529,6 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
     EXPECT_EQ(r.oldDestValid, fresh.oldDestValid);
     EXPECT_EQ(r.integrated, fresh.integrated);
     EXPECT_EQ(r.reverseIntegrated, fresh.reverseIntegrated);
-    EXPECT_EQ(r.needsRs, fresh.needsRs);
     EXPECT_EQ(r.inRs, fresh.inRs);
     EXPECT_EQ(r.issued, fresh.issued);
     EXPECT_EQ(r.completed, fresh.completed);
@@ -557,8 +571,6 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
         EXPECT_EQ(hd->valid, fresh.createdEntry.valid);
         EXPECT_EQ(hd->isPending, fresh.createdEntry.isPending);
     }
-    EXPECT_EQ(r.lqIdx, fresh.lqIdx);
-    EXPECT_EQ(r.sqIdx, fresh.sqIdx);
     EXPECT_EQ(r.squashCause, fresh.squashCause);
 }
 
@@ -592,21 +604,6 @@ TEST(CompletionQueue, FiresEachCycleInAgeOrder)
     q.clear();
     for (Cycle c = far + 2; c <= far + 11; ++c)
         EXPECT_TRUE(q.take(c).empty());
-}
-
-TEST(DynInstPool, HandleStabilityAcrossGrowth)
-{
-    // Growing the pool appends slabs; records reachable through old
-    // handles must not move (raw pointers stay valid).
-    DynInstPool pool(1);
-    const InstHandle h = pool.alloc();
-    DynInst *before = &pool.get(h);
-    before->pc = 1234;
-    std::vector<InstHandle> more;
-    for (unsigned i = 0; i < 5 * DynInstPool::slabInsts; ++i)
-        more.push_back(pool.alloc());
-    EXPECT_EQ(&pool.get(h), before);
-    EXPECT_EQ(pool.get(h).pc, 1234u);
 }
 
 TEST(CorePipeline, PoolStableAcrossHeavySquashing)

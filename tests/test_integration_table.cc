@@ -2,8 +2,9 @@
  * @file
  * Integration-table tests: PC vs opcode indexing/tagging, input and
  * generation matching, LRU replacement, exact-duplicate overwrite,
- * branch-outcome handles, reverse entries in the unified table, and
- * index-distribution properties of the call-depth mix.
+ * branch-outcome handles, stale-handle validation, reverse entries in
+ * the unified table, and index-distribution properties of the
+ * call-depth mix.
  */
 
 #include <algorithm>
@@ -44,13 +45,48 @@ key(Opcode op, s32 imm, PhysReg in1, u8 gen1, u64 pc = 0,
     return k;
 }
 
+/** Payload of a register-producing entry. */
+ITEntry
+reg(PhysReg out, u8 out_gen, u64 create_seq, bool reverse = false)
+{
+    ITEntry e;
+    e.hasOut = true;
+    e.out = out;
+    e.outGen = out_gen;
+    e.reverse = reverse;
+    e.createSeq = create_seq;
+    return e;
+}
+
+/** Payload of a branch-outcome entry (outcome not yet known). */
+ITEntry
+branch()
+{
+    ITEntry e;
+    e.isBranch = true;
+    return e;
+}
+
+ITHandle
+put(IntegrationTable &it, const ITKey &k, const ITEntry &e)
+{
+    return it.insert(it.probe(k), e);
+}
+
+ITEntry *
+find(IntegrationTable &it, const ITKey &k)
+{
+    ITProbe pr = it.probe(k);
+    return it.lookup(pr);
+}
+
 } // namespace
 
 TEST(ItTable, InsertAndLookupOpcodeMode)
 {
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed));
-    it.insert(key(Opcode::ADDQI, 8, 5, 1), true, 40, 2, false, false, 7);
-    ITEntry *e = it.lookup(key(Opcode::ADDQI, 8, 5, 1));
+    put(it, key(Opcode::ADDQI, 8, 5, 1), reg(40, 2, 7));
+    ITEntry *e = find(it, key(Opcode::ADDQI, 8, 5, 1));
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->out, 40);
     EXPECT_EQ(e->outGen, 2);
@@ -60,17 +96,17 @@ TEST(ItTable, InsertAndLookupOpcodeMode)
 TEST(ItTable, InputMismatchMisses)
 {
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed));
-    it.insert(key(Opcode::ADDQI, 8, 5, 1), true, 40, 2, false, false, 0);
-    EXPECT_EQ(it.lookup(key(Opcode::ADDQI, 8, 6, 1)), nullptr); // reg
-    EXPECT_EQ(it.lookup(key(Opcode::ADDQI, 9, 5, 1)), nullptr); // imm
-    EXPECT_EQ(it.lookup(key(Opcode::SUBQI, 8, 5, 1)), nullptr); // op
+    put(it, key(Opcode::ADDQI, 8, 5, 1), reg(40, 2, 0));
+    EXPECT_EQ(find(it, key(Opcode::ADDQI, 8, 6, 1)), nullptr); // reg
+    EXPECT_EQ(find(it, key(Opcode::ADDQI, 9, 5, 1)), nullptr); // imm
+    EXPECT_EQ(find(it, key(Opcode::SUBQI, 8, 5, 1)), nullptr); // op
 }
 
 TEST(ItTable, GenerationMismatchMisses)
 {
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed));
-    it.insert(key(Opcode::ADDQI, 8, 5, 1), true, 40, 2, false, false, 0);
-    EXPECT_EQ(it.lookup(key(Opcode::ADDQI, 8, 5, 2)), nullptr);
+    put(it, key(Opcode::ADDQI, 8, 5, 1), reg(40, 2, 0));
+    EXPECT_EQ(find(it, key(Opcode::ADDQI, 8, 5, 2)), nullptr);
 }
 
 TEST(ItTable, GenCheckingAblatable)
@@ -78,27 +114,25 @@ TEST(ItTable, GenCheckingAblatable)
     IntegrationParams p = params(IntegrationMode::OpcodeIndexed);
     p.useGenCounters = false;
     IntegrationTable it(p);
-    it.insert(key(Opcode::ADDQI, 8, 5, 1), true, 40, 2, false, false, 0);
-    EXPECT_NE(it.lookup(key(Opcode::ADDQI, 8, 5, 9)), nullptr);
+    put(it, key(Opcode::ADDQI, 8, 5, 1), reg(40, 2, 0));
+    EXPECT_NE(find(it, key(Opcode::ADDQI, 8, 5, 9)), nullptr);
 }
 
 TEST(ItTable, PcModeTagsByPc)
 {
     IntegrationTable it(params(IntegrationMode::General));
-    it.insert(key(Opcode::ADDQI, 8, 5, 1, /*pc=*/100), true, 40, 2,
-              false, false, 0);
+    put(it, key(Opcode::ADDQI, 8, 5, 1, /*pc=*/100), reg(40, 2, 0));
     // Same operation at a different PC misses under PC indexing...
-    EXPECT_EQ(it.lookup(key(Opcode::ADDQI, 8, 5, 1, 200)), nullptr);
+    EXPECT_EQ(find(it, key(Opcode::ADDQI, 8, 5, 1, 200)), nullptr);
     // ...and hits at the creating PC.
-    EXPECT_NE(it.lookup(key(Opcode::ADDQI, 8, 5, 1, 100)), nullptr);
+    EXPECT_NE(find(it, key(Opcode::ADDQI, 8, 5, 1, 100)), nullptr);
 }
 
 TEST(ItTable, OpcodeModeIgnoresPc)
 {
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed));
-    it.insert(key(Opcode::ADDQI, 8, 5, 1, 100), true, 40, 2, false,
-              false, 0);
-    EXPECT_NE(it.lookup(key(Opcode::ADDQI, 8, 5, 1, 200)), nullptr);
+    put(it, key(Opcode::ADDQI, 8, 5, 1, 100), reg(40, 2, 0));
+    EXPECT_NE(find(it, key(Opcode::ADDQI, 8, 5, 1, 200)), nullptr);
 }
 
 TEST(ItTable, CallDepthChangesSetButNotTag)
@@ -109,9 +143,9 @@ TEST(ItTable, CallDepthChangesSetButNotTag)
     // Different depths index different sets (the whole point of the
     // call-depth mix).
     EXPECT_NE(it.index(k0), it.index(k3));
-    it.insert(k0, true, 40, 2, false, false, 0);
-    EXPECT_EQ(it.lookup(k3), nullptr);
-    EXPECT_NE(it.lookup(k0), nullptr);
+    put(it, k0, reg(40, 2, 0));
+    EXPECT_EQ(find(it, k3), nullptr);
+    EXPECT_NE(find(it, k0), nullptr);
 }
 
 TEST(ItTable, LruReplacementWithinSet)
@@ -119,12 +153,11 @@ TEST(ItTable, LruReplacementWithinSet)
     // Direct-mapped-by-construction: 4 entries, 4-way = one set.
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed, 4, 4));
     for (int i = 0; i < 4; ++i)
-        it.insert(key(Opcode::ADDQI, i, 5, 1), true, PhysReg(10 + i), 0,
-                  false, false, u64(i));
-    it.lookup(key(Opcode::ADDQI, 0, 5, 1)); // touch entry 0
-    it.insert(key(Opcode::ADDQI, 9, 5, 1), true, 50, 0, false, false, 9);
-    EXPECT_NE(it.lookup(key(Opcode::ADDQI, 0, 5, 1)), nullptr);
-    EXPECT_EQ(it.lookup(key(Opcode::ADDQI, 1, 5, 1)), nullptr); // LRU out
+        put(it, key(Opcode::ADDQI, i, 5, 1), reg(PhysReg(10 + i), 0, u64(i)));
+    find(it, key(Opcode::ADDQI, 0, 5, 1)); // touch entry 0
+    put(it, key(Opcode::ADDQI, 9, 5, 1), reg(50, 0, 9));
+    EXPECT_NE(find(it, key(Opcode::ADDQI, 0, 5, 1)), nullptr);
+    EXPECT_EQ(find(it, key(Opcode::ADDQI, 1, 5, 1)), nullptr); // LRU out
     EXPECT_GE(it.replacements(), 1u);
 
     // Victim order: an exact duplicate, then the first invalid way,
@@ -133,24 +166,21 @@ TEST(ItTable, LruReplacementWithinSet)
     // before the LRU way.
     ITHandle h[4];
     for (int i = 0; i < 4; ++i)
-        h[i] = it.insert(key(Opcode::ADDQI, 20 + i, 5, 1), true,
-                         PhysReg(20 + i), 0, false, false, u64(20 + i));
+        h[i] = put(it, key(Opcode::ADDQI, 20 + i, 5, 1),
+                   reg(PhysReg(20 + i), 0, u64(20 + i)));
     const u64 replaced = it.replacements();
     it.invalidate(h[2]);
-    ITHandle got = it.insert(key(Opcode::ADDQI, 30, 5, 1), true, 30, 0,
-                             false, false, 30);
+    ITHandle got = put(it, key(Opcode::ADDQI, 30, 5, 1), reg(30, 0, 30));
     EXPECT_EQ(got.way, h[2].way);
     EXPECT_EQ(it.replacements(), replaced); // refill, not replacement
-    EXPECT_NE(it.lookup(key(Opcode::ADDQI, 20, 5, 1)), nullptr); // LRU kept
+    EXPECT_NE(find(it, key(Opcode::ADDQI, 20, 5, 1)), nullptr); // LRU kept
 
     // With two invalid ways, the lower one is taken, then the other.
     it.invalidate(h[3]);
     it.invalidate(h[1]);
-    got = it.insert(key(Opcode::ADDQI, 31, 5, 1), true, 31, 0, false,
-                    false, 31);
+    got = put(it, key(Opcode::ADDQI, 31, 5, 1), reg(31, 0, 31));
     EXPECT_EQ(got.way, std::min(h[1].way, h[3].way));
-    got = it.insert(key(Opcode::ADDQI, 32, 5, 1), true, 32, 0, false,
-                    false, 32);
+    got = put(it, key(Opcode::ADDQI, 32, 5, 1), reg(32, 0, 32));
     EXPECT_EQ(got.way, std::max(h[1].way, h[3].way));
     EXPECT_EQ(it.replacements(), replaced);
 }
@@ -162,14 +192,14 @@ TEST(ItTable, CarriedProbeReusesOrRechoosesVictim)
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed, 4, 4));
     ITHandle h[4];
     for (int i = 0; i < 4; ++i)
-        h[i] = it.insert(key(Opcode::ADDQI, i, 5, 1), true, PhysReg(10 + i),
-                         0, false, false, u64(i));
+        h[i] = put(it, key(Opcode::ADDQI, i, 5, 1),
+                   reg(PhysReg(10 + i), 0, u64(i)));
 
     // A missed lookup's probe carries the victim to the insert.
     const ITKey ka = key(Opcode::ADDQI, 50, 5, 1);
     ITProbe pa = it.probe(ka);
     EXPECT_EQ(it.lookup(pa), nullptr);
-    ITHandle got = it.insert(pa, ka, true, 50, 0, false, false, 50);
+    ITHandle got = it.insert(pa, reg(50, 0, 50));
     EXPECT_EQ(got.way, h[0].way); // entry 0 was least recent
 
     // A probe whose set changed since its lookup chooses again: the
@@ -178,35 +208,35 @@ TEST(ItTable, CarriedProbeReusesOrRechoosesVictim)
     const ITKey kc = key(Opcode::ADDQI, 52, 5, 1);
     ITProbe pb = it.probe(kb);
     EXPECT_EQ(it.lookup(pb), nullptr); // victim: entry 1's way
-    got = it.insert(kc, true, 52, 0, false, false, 52);
+    got = put(it, kc, reg(52, 0, 52));
     EXPECT_EQ(got.way, h[1].way);
-    got = it.insert(pb, kb, true, 51, 0, false, false, 51);
+    got = it.insert(pb, reg(51, 0, 51));
     EXPECT_EQ(got.way, h[2].way);
-    EXPECT_NE(it.lookup(kc), nullptr);
-    EXPECT_NE(it.lookup(kb), nullptr);
+    EXPECT_NE(find(it, kc), nullptr);
+    EXPECT_NE(find(it, kb), nullptr);
 
     // A hit's probe inserts over the matching way (exact duplicate).
     ITProbe pc = it.probe(ka);
     ASSERT_NE(it.lookup(pc), nullptr);
     const u64 replaced = it.replacements();
-    got = it.insert(pc, ka, true, 60, 0, false, false, 60);
+    got = it.insert(pc, reg(60, 0, 60));
     EXPECT_EQ(got.way, h[0].way);
     EXPECT_EQ(it.replacements(), replaced);
-    EXPECT_EQ(it.lookup(ka)->out, 60);
+    EXPECT_EQ(find(it, ka)->out, 60);
 }
 
 TEST(ItTable, DuplicateInsertOverwrites)
 {
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed, 4, 4));
-    it.insert(key(Opcode::ADDQI, 8, 5, 1), true, 40, 2, false, false, 1);
-    it.insert(key(Opcode::ADDQI, 8, 5, 1), true, 41, 3, false, false, 2);
-    ITEntry *e = it.lookup(key(Opcode::ADDQI, 8, 5, 1));
+    put(it, key(Opcode::ADDQI, 8, 5, 1), reg(40, 2, 1));
+    put(it, key(Opcode::ADDQI, 8, 5, 1), reg(41, 3, 2));
+    ITEntry *e = find(it, key(Opcode::ADDQI, 8, 5, 1));
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->out, 41);
     // Only one way consumed: the other three still hold nothing.
     int valid = 0;
     for (int i = 0; i < 4; ++i)
-        valid += it.lookup(key(Opcode::ADDQI, i + 100, 5, 1)) != nullptr;
+        valid += find(it, key(Opcode::ADDQI, i + 100, 5, 1)) != nullptr;
     EXPECT_EQ(valid, 0);
 }
 
@@ -214,13 +244,13 @@ TEST(ItTable, BranchOutcomeHandle)
 {
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed));
     ITKey k = key(Opcode::BEQ, 50, 5, 1);
-    ITHandle h = it.insert(k, false, invalidPhysReg, 0, false, true, 0);
-    ITEntry *e = it.lookup(k);
+    ITHandle h = put(it, k, branch());
+    ITEntry *e = find(it, k);
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->isBranch);
     EXPECT_FALSE(e->outcomeValid);
     it.fillBranchOutcome(h, true);
-    e = it.lookup(k);
+    e = find(it, k);
     EXPECT_TRUE(e->outcomeValid);
     EXPECT_TRUE(e->taken);
 }
@@ -229,11 +259,10 @@ TEST(ItTable, StaleHandleIgnored)
 {
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed, 4, 4));
     ITKey k = key(Opcode::BEQ, 50, 5, 1);
-    ITHandle h = it.insert(k, false, invalidPhysReg, 0, false, true, 0);
+    ITHandle h = put(it, k, branch());
     // Evict by filling the (single) set with four other entries.
     for (int i = 0; i < 4; ++i)
-        it.insert(key(Opcode::ADDQI, i, 5, 1), true, PhysReg(i), 0,
-                  false, false, 0);
+        put(it, key(Opcode::ADDQI, i, 5, 1), reg(PhysReg(i), 0, 0));
     it.fillBranchOutcome(h, true); // must not corrupt a reused slot
     EXPECT_EQ(it.at(h), nullptr);
 }
@@ -242,10 +271,47 @@ TEST(ItTable, InvalidateByHandle)
 {
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed));
     ITKey k = key(Opcode::LDQ, 16, 30, 0);
-    ITHandle h = it.insert(k, true, 77, 0, false, false, 0);
-    EXPECT_NE(it.lookup(k), nullptr);
+    ITHandle h = put(it, k, reg(77, 0, 0));
+    EXPECT_NE(find(it, k), nullptr);
     it.invalidate(h);
-    EXPECT_EQ(it.lookup(k), nullptr);
+    EXPECT_EQ(find(it, k), nullptr);
+}
+
+TEST(ItTable, OldHandleDeadAfterInvalidateOrReplacement)
+{
+    // Validity lives in the probe words: once a way is invalidated or
+    // taken by another key, the old handle resolves to nothing and its
+    // key's probe misses, whatever the payload row still holds.
+    IntegrationTable it(params(IntegrationMode::OpcodeIndexed, 2, 2));
+    const ITKey ka = key(Opcode::ADDQI, 1, 5, 1);
+    const ITKey kb = key(Opcode::ADDQI, 2, 5, 1);
+    const ITHandle ha = put(it, ka, reg(10, 0, 1));
+    const ITHandle hb = put(it, kb, reg(11, 0, 2));
+    ASSERT_NE(it.at(ha), nullptr);
+    ASSERT_NE(it.at(hb), nullptr);
+
+    it.invalidate(ha);
+    EXPECT_EQ(it.at(ha), nullptr);
+    EXPECT_EQ(find(it, ka), nullptr);
+    it.invalidate(ha); // a dead handle invalidates nothing
+    EXPECT_NE(it.at(hb), nullptr);
+
+    // Refill a's way, then insert a third key: the set is full, so b
+    // (now the least recent) is replaced.
+    const ITHandle hc = put(it, key(Opcode::ADDQI, 3, 5, 1), reg(12, 0, 3));
+    EXPECT_EQ(hc.way, ha.way);
+    const u64 replaced = it.replacements();
+    const ITHandle hd = put(it, key(Opcode::ADDQI, 4, 5, 1), reg(13, 0, 4));
+    EXPECT_EQ(it.replacements(), replaced + 1);
+    EXPECT_EQ(hd.way, hb.way);
+    EXPECT_EQ(it.at(hb), nullptr);
+    EXPECT_EQ(find(it, kb), nullptr);
+    ASSERT_NE(it.at(hd), nullptr);
+    EXPECT_EQ(it.at(hd)->out, 13);
+
+    it.invalidateAll();
+    EXPECT_EQ(it.at(hc), nullptr);
+    EXPECT_EQ(it.at(hd), nullptr);
 }
 
 TEST(ItTable, ReverseEntriesCoexist)
@@ -253,8 +319,8 @@ TEST(ItTable, ReverseEntriesCoexist)
     IntegrationTable it(params(IntegrationMode::Reverse));
     // A store creates the complementary load's entry.
     ITKey rk = key(Opcode::LDQ, 8, /*base sp preg*/ 31, 0);
-    it.insert(rk, true, /*data preg*/ 20, 1, /*reverse=*/true, false, 5);
-    ITEntry *e = it.lookup(rk);
+    put(it, rk, reg(/*data preg*/ 20, 1, 5, /*reverse=*/true));
+    ITEntry *e = find(it, rk);
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->reverse);
     EXPECT_EQ(e->out, 20);
@@ -265,11 +331,10 @@ TEST(ItTable, FullyAssociativeSingleSet)
     IntegrationTable it(params(IntegrationMode::OpcodeIndexed, 16, 16));
     EXPECT_EQ(it.numSets(), 1u);
     for (int i = 0; i < 16; ++i)
-        it.insert(key(Opcode::ADDQI, i, 5, 1), true, PhysReg(i), 0,
-                  false, false, 0);
+        put(it, key(Opcode::ADDQI, i, 5, 1), reg(PhysReg(i), 0, 0));
     int found = 0;
     for (int i = 0; i < 16; ++i)
-        found += it.lookup(key(Opcode::ADDQI, i, 5, 1)) != nullptr;
+        found += find(it, key(Opcode::ADDQI, i, 5, 1)) != nullptr;
     EXPECT_EQ(found, 16);
 }
 

@@ -4,7 +4,7 @@
  * machinery. FIFO allocation, pinning, simultaneous sharing, the two
  * zero-reference states (0/F garbage vs 0/T integration-eligible, the
  * deadlock-avoidance rule), generation counters, per-mode eligibility,
- * saturation, leak-freedom and snapshot/restore.
+ * saturation and leak-freedom.
  */
 
 #include <gtest/gtest.h>
@@ -202,7 +202,7 @@ TEST(RegState, NoLeaksAfterChurn)
     Rng rng(3);
     std::vector<PhysReg> live;
     for (int i = 0; i < 10000; ++i) {
-        if (rs.canAllocate() && (live.empty() || rng.chance(500))) {
+        if (rs.freeCount() > 0 && (live.empty() || rng.chance(500))) {
             PhysReg r = rs.allocate();
             if (rng.chance(700))
                 rs.markReady(r);
@@ -218,32 +218,17 @@ TEST(RegState, NoLeaksAfterChurn)
     }
 }
 
-TEST(RegState, SnapshotRestore)
-{
-    RegStateVector rs(smallParams(64));
-    PhysReg a = rs.allocate();
-    rs.markReady(a);
-    rs.addRef(a);
-    auto snap = rs.snapshot();
-    PhysReg b = rs.allocate();
-    rs.releaseSquash(b);
-    rs.releaseOverwrite(a);
-    rs.restore(snap);
-    EXPECT_EQ(rs.count(a), 2);
-    EXPECT_TRUE(rs.ready(a));
-    EXPECT_TRUE(rs.checkNoLeaks());
-}
-
 TEST(RegState, ExhaustionDetectable)
 {
     RegStateVector rs(smallParams(34));
     std::vector<PhysReg> regs;
     for (int i = 0; i < 34; ++i) {
-        ASSERT_TRUE(rs.canAllocate());
-        regs.push_back(rs.allocate());
+        const PhysReg r = rs.tryAllocate();
+        ASSERT_NE(r, invalidPhysReg);
+        regs.push_back(r);
     }
-    EXPECT_FALSE(rs.canAllocate());
     EXPECT_EQ(rs.freeCount(), 0u);
+    EXPECT_EQ(rs.tryAllocate(), invalidPhysReg);
 
     // A failed tryAllocate() leaves the free queue as it was. Here its
     // only entry is stale (the register was integrated again after it
