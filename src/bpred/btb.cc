@@ -77,12 +77,14 @@ ReturnAddressStack::reset(unsigned entries)
 {
     ring.assign(entries, 0);
     tos = 0;
+    pos = 0;
 }
 
 void
 ReturnAddressStack::push(InstAddr return_pc)
 {
-    ring[ringIndex(tos)] = return_pc;
+    ring[pos] = return_pc;
+    pos = pos + 1 == ring.size() ? 0 : pos + 1;
     ++tos;
 }
 
@@ -92,24 +94,8 @@ ReturnAddressStack::pop()
     if (tos == 0)
         return 0; // underflow: predict entry point, will mispredict
     --tos;
-    return ring[ringIndex(tos)];
-}
-
-ReturnAddressStack::Checkpoint
-ReturnAddressStack::save() const
-{
-    Checkpoint cp;
-    cp.tos = tos;
-    cp.topValue = tos > 0 ? ring[ringIndex(tos - 1)] : 0;
-    return cp;
-}
-
-void
-ReturnAddressStack::restore(const Checkpoint &cp)
-{
-    tos = cp.tos;
-    if (tos > 0)
-        ring[ringIndex(tos - 1)] = cp.topValue;
+    pos = below(pos);
+    return ring[pos];
 }
 
 } // namespace rix

@@ -72,21 +72,41 @@ class ReturnAddressStack
     /** Current call depth (monotonic counter, not the ring index). */
     unsigned depth() const { return tos; }
 
-    /** Checkpoint for per-branch repair. */
+    /** Checkpoint for per-branch repair (taken for every fetched
+     *  instruction, so it is inline and divide-free). */
     struct Checkpoint
     {
         unsigned tos = 0;
+        unsigned pos = 0;
         InstAddr topValue = 0;
     };
 
-    Checkpoint save() const;
-    void restore(const Checkpoint &cp);
+    Checkpoint
+    save() const
+    {
+        return {tos, pos, tos > 0 ? ring[below(pos)] : 0};
+    }
+
+    void
+    restore(const Checkpoint &cp)
+    {
+        tos = cp.tos;
+        pos = cp.pos;
+        if (tos > 0)
+            ring[below(pos)] = cp.topValue;
+    }
 
   private:
-    unsigned ringIndex(unsigned t) const { return t % unsigned(ring.size()); }
+    /** The ring slot before @p p (the ring may be any size >= 1). */
+    unsigned
+    below(unsigned p) const
+    {
+        return (p == 0 ? unsigned(ring.size()) : p) - 1;
+    }
 
     std::vector<InstAddr> ring;
-    unsigned tos = 0; // next free slot; depth counter
+    unsigned tos = 0; // depth counter
+    unsigned pos = 0; // next free ring slot: tos modulo the ring size
 };
 
 } // namespace rix

@@ -241,16 +241,21 @@ Emulator::step()
 }
 
 // ---------------------------------------------------------------------
-// The run() fast path: straight-line basic-block execution over the
-// decoded form. Handler bodies are generated from the same
-// RIX_ALU_SEMANTICS table the out-of-line aluCompute() expands, so
-// each opcode's semantics exist exactly once; dispatch is an indirect
-// goto through a dense label table under GCC/Clang and a switch
-// elsewhere.
+// The run() fast path: one threaded loop over the decoded form. Every
+// opcode, control included, has a handler in one computed-goto table;
+// each handler ends in its own indirect jump to the next one. Handler
+// bodies are generated from the same RIX_ALU_SEMANTICS /
+// RIX_BRANCH_SEMANTICS tables the out-of-line aluCompute() and
+// branchTaken() expand, so each opcode's semantics exist exactly once.
+//
+// The budget is charged a whole block at a time, on block entry
+// (DecodedInst::blockLen is exact per pc), so straight-line handlers
+// check nothing. The loop leaves only when it stops: budget spent,
+// HALT, a text fault, or a pc past the code.
 // ---------------------------------------------------------------------
 
-#if defined(__GNUC__) || defined(__clang__)
-#define RIX_COMPUTED_GOTO 1
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "Emulator::run needs labels as values (GCC or Clang)"
 #endif
 
 // One straight-line ALU slot: read pre-resolved sources, write the
@@ -267,32 +272,45 @@ Emulator::step()
     }
 
 u64
-Emulator::execStraight(const DecodedInst *d, u64 count)
+Emulator::run(u64 max_steps)
 {
-    if (count == 0)
+    if (fault_.faulted || isHalted)
         return 0;
-    const DecodedInst *const start = d;
-    const DecodedInst *const end = d + count;
-    (void)end;
 
-#ifdef RIX_COMPUTED_GOTO
     // Dense dispatch table, indexed by DecodedInst::handler (== the
     // opcode value; RIX_OPCODE_LIST is static_asserted to match the
-    // enum order).
-    static const void *const handlers[numOpcodes] = {
+    // enum order), then the end-of-code sentinel's handler.
+    static const void *const handlers[numOpcodes + 1] = {
 #define X(OP) &&handle_##OP,
         RIX_OPCODE_LIST(X)
 #undef X
+        &&end_of_code,
     };
 
-#define RIX_NEXT() \
+    const DecodedInst *const base = dec_->data();
+    const u64 n = dec_->size();
+    const Addr text_limit = textLimit_;
+    const DecodedInst *d = base;
+    InstAddr pc = pcReg;
+    u64 left = max_steps; // budget not yet charged to a block
+    Addr addr = 0;
+
+// Enter the block at pc: charge all of it up front, or hand a budget
+// that ends inside it to the tail.
+#define RIX_ENTER_BLOCK() \
     do { \
-        if (++d == end) \
-            return count; \
+        if (pc >= n) \
+            goto wilderness; \
+        d = base + pc; \
+        if (d->blockLen > left) \
+            goto budget_tail; \
+        left -= d->blockLen; \
         goto *handlers[d->handler]; \
     } while (0)
 
-    goto *handlers[d->handler];
+#define RIX_NEXT() goto *handlers[(++d)->handler]
+
+    RIX_ENTER_BLOCK();
 
 #define X(OP, EXPR) \
   handle_##OP: \
@@ -301,32 +319,27 @@ Emulator::execStraight(const DecodedInst *d, u64 count)
     RIX_ALU_SEMANTICS(X)
 #undef X
 
-  handle_LDQ: {
-        const Addr addr = regs[d->src1] + u64(s64(d->imm));
-        regs[d->dest] = mem.read(addr, 8);
-    }
+  handle_LDQ:
+    regs[d->dest] = mem.read64(regs[d->src1] + u64(s64(d->imm)));
     RIX_NEXT();
 
-  handle_LDL: {
-        const Addr addr = regs[d->src1] + u64(s64(d->imm));
-        regs[d->dest] = u64(s64(s32(u32(mem.read(addr, 4)))));
-    }
+  handle_LDL:
+    regs[d->dest] =
+        u64(s64(s32(mem.read32(regs[d->src1] + u64(s64(d->imm))))));
     RIX_NEXT();
 
-  handle_STQ: {
-        const Addr addr = regs[d->src1] + u64(s64(d->imm));
-        if (addr < textLimit_)
-            goto text_fault;
-        mem.write(addr, regs[d->src2], 8);
-    }
+  handle_STQ:
+    addr = regs[d->src1] + u64(s64(d->imm));
+    if (addr < text_limit)
+        goto text_fault;
+    mem.write64(addr, regs[d->src2]);
     RIX_NEXT();
 
-  handle_STL: {
-        const Addr addr = regs[d->src1] + u64(s64(d->imm));
-        if (addr < textLimit_)
-            goto text_fault;
-        mem.write(addr, regs[d->src2], 4);
-    }
+  handle_STL:
+    addr = regs[d->src1] + u64(s64(d->imm));
+    if (addr < text_limit)
+        goto text_fault;
+    mem.write32(addr, u32(regs[d->src2]));
     RIX_NEXT();
 
   handle_SYSCALL:
@@ -338,162 +351,79 @@ Emulator::execStraight(const DecodedInst *d, u64 count)
   handle_NOP:
     RIX_NEXT();
 
-  // Block terminators can never sit inside the straight-line portion
-  // (the DecodedProgram block-length invariant).
+  // Block terminators: compute the next pc and enter its block.
+#define X(OP, COND) \
+  handle_##OP: { \
+        const s64 sa = s64(regs[d->src1]); \
+        pc = (COND) ? InstAddr(d->target) : InstAddr(d - base) + 1; \
+    } \
+    RIX_ENTER_BLOCK();
+    RIX_BRANCH_SEMANTICS(X)
+#undef X
+
   handle_BR:
-  handle_BEQ:
-  handle_BNE:
-  handle_BLT:
-  handle_BGE:
-  handle_BGT:
-  handle_BLE:
+    pc = d->target;
+    RIX_ENTER_BLOCK();
+
   handle_JSR:
+    regs[d->dest] = InstAddr(d - base) + 1; // the link value
+    pc = d->target;
+    RIX_ENTER_BLOCK();
+
   handle_JMP:
   handle_RET:
+    pc = regs[d->src1];
+    RIX_ENTER_BLOCK();
+
   handle_HALT:
-    rix_panic("decoded dispatch: control opcode %s inside a "
-              "straight-line block", opName(Opcode(d->handler)));
+    pc = InstAddr(d - base); // pc freezes at the HALT
+    isHalted = true;
+    goto done;
 
   text_fault:
-    raiseTextFault(InstAddr(d - dec_->data()),
-                   regs[d->src1] + u64(s64(d->imm)));
-    return u64(d - start);
+    // The store and the rest of its block were charged but do not run.
+    pc = InstAddr(d - base);
+    left += d->blockLen;
+    raiseTextFault(pc, addr);
+    goto done;
+
+  end_of_code:
+    pc = n; // ran off an unterminated tail block: into the wilderness
+
+  wilderness: {
+        // Out-of-range fetch decodes as NOP: the rest of the budget
+        // runs in one addition, unless the pc wraps back to 0 (and so
+        // into the code) first.
+        const u64 to_wrap = u64(0) - pc;
+        if (n == 0 || left < to_wrap) {
+            pc += left;
+            left = 0;
+            goto done;
+        }
+        left -= to_wrap;
+        pc = 0;
+    }
+    RIX_ENTER_BLOCK();
+
+  budget_tail:
+    // The budget ends before this block's terminator, so what is left
+    // is straight-line code: step it.
+    pcReg = pc;
+    icount += max_steps - left;
+    for (; left != 0; --left) {
+        step();
+        if (fault_.faulted)
+            break;
+    }
+    return max_steps - left;
+
+  done:
+    pcReg = pc;
+    icount += max_steps - left;
+    return max_steps - left;
 
 #undef RIX_NEXT
-#else // switch fallback
-    while (d != end) {
-        switch (Opcode(d->handler)) {
-#define X(OP, EXPR) \
-          case Opcode::OP: \
-            RIX_ALU_BODY(OP, EXPR) \
-            break;
-            RIX_ALU_SEMANTICS(X)
-#undef X
-          case Opcode::LDQ: {
-            const Addr addr = regs[d->src1] + u64(s64(d->imm));
-            regs[d->dest] = mem.read(addr, 8);
-            break;
-          }
-          case Opcode::LDL: {
-            const Addr addr = regs[d->src1] + u64(s64(d->imm));
-            regs[d->dest] = u64(s64(s32(u32(mem.read(addr, 4)))));
-            break;
-          }
-          case Opcode::STQ:
-          case Opcode::STL: {
-            const Addr addr = regs[d->src1] + u64(s64(d->imm));
-            if (addr < textLimit_) {
-                raiseTextFault(InstAddr(d - dec_->data()), addr);
-                return u64(d - start);
-            }
-            mem.write(addr, regs[d->src2], d->size);
-            break;
-          }
-          case Opcode::SYSCALL:
-            if (SyscallCode(d->imm) == SyscallCode::Emit)
-                out.push_back(regs[d->src1]);
-            regs[d->dest] = 0;
-            break;
-          case Opcode::NOP:
-            break;
-          default:
-            rix_panic("decoded dispatch: control opcode %s inside a "
-                      "straight-line block",
-                      opName(Opcode(d->handler)));
-        }
-        ++d;
-    }
-    return count;
-#endif
-}
-
-bool
-Emulator::execFull(const DecodedInst &d)
-{
-    switch (InstClass(d.cls)) {
-      case InstClass::Branch: {
-        const s64 sa = s64(regs[d.src1]);
-        bool taken;
-        switch (Opcode(d.handler)) {
-#define X(OP, EXPR) \
-          case Opcode::OP: taken = (EXPR); break;
-            RIX_BRANCH_SEMANTICS(X)
-#undef X
-          default:
-            rix_panic("decoded dispatch: %s is not a conditional branch",
-                      opName(Opcode(d.handler)));
-        }
-        pcReg = taken ? InstAddr(d.target) : pcReg + 1;
-        break;
-      }
-      case InstClass::Jump:
-        pcReg = InstAddr(d.target);
-        break;
-      case InstClass::Call:
-        regs[d.dest] = pcReg + 1; // the link value
-        pcReg = InstAddr(d.target);
-        break;
-      case InstClass::IndirectJump:
-      case InstClass::Return:
-        pcReg = InstAddr(regs[d.src1]);
-        break;
-      case InstClass::Halt:
-        isHalted = true; // pc freezes at the HALT
-        break;
-      default:
-        // The last slot of an unterminated tail block: an ordinary
-        // straight-line op, executed through the same dispatch.
-        if (execStraight(&d, 1) != 1)
-            return false;
-        ++pcReg;
-        break;
-    }
-    return true;
-}
-
-u64
-Emulator::runDecoded(u64 limit)
-{
-    const DecodedInst *const base = dec_->data();
-    const size_t n = dec_->size();
-    u64 done = 0;
-    while (done < limit && !isHalted) {
-        if (pcReg >= n) {
-            // Out-of-range fetch decodes as NOP forever, and the
-            // 64-bit pc only ever increments out here — it can never
-            // wrap back into the code segment. Batch the remaining
-            // budget in one addition.
-            const u64 k = limit - done;
-            pcReg += k;
-            done += k;
-            break;
-        }
-        const DecodedInst &d0 = base[pcReg];
-        const u64 avail = limit - done;
-        u64 straight = d0.blockLen - 1;
-        if (straight > avail)
-            straight = avail;
-        if (straight) {
-            const u64 ran = execStraight(&d0, straight);
-            pcReg += ran;
-            done += ran;
-            if (ran != straight)
-                break; // text fault inside the block
-        }
-        if (done < limit) {
-            if (!execFull(base[pcReg]))
-                break; // text fault at the block end
-            ++done;
-        }
-    }
-    icount += done;
-    return done;
-}
-
-u64
-Emulator::run(u64 max_steps)
-{
-    return fault_.faulted ? 0 : runDecoded(max_steps);
+#undef RIX_ENTER_BLOCK
 }
 
 } // namespace rix

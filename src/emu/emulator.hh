@@ -12,10 +12,10 @@
  *
  * Execution core: every path runs on the program's pre-decoded form
  * (isa/decoded.hh) — step()/preview() read pre-resolved operands
- * instead of re-deriving traits, and run() executes whole
- * straight-line basic blocks through a dense handler-indexed dispatch
- * (computed goto under GCC/Clang, a switch elsewhere), checking
- * halt/fault/budget only at block boundaries. tests/test_decoded.cc
+ * instead of re-deriving traits, and run() is one threaded loop: every
+ * opcode, control included, dispatches through a computed-goto table
+ * (GCC/Clang labels as values), and halt/fault/budget are checked only
+ * at block boundaries. tests/test_decoded.cc
  * checks both step() and run() against a decode-per-step reference
  * interpreter (tests/reference_interp.hh).
  *
@@ -133,15 +133,6 @@ class Emulator
     const Program &program() const { return *prog; }
 
   private:
-    /** Execute up to @p limit instructions block-at-a-time; stops at
-     *  HALT or fault. Updates pc/icount; returns instructions run. */
-    u64 runDecoded(u64 limit);
-    /** Straight-line dispatch over @p count non-control instructions
-     *  starting at @p d; returns @p count, or fewer on a text fault. */
-    u64 execStraight(const DecodedInst *d, u64 count);
-    /** Full one-instruction dispatch (block terminators); updates
-     *  pc/halt; false on a text fault. */
-    bool execFull(const DecodedInst &d);
     void raiseTextFault(InstAddr at, Addr addr);
 
     const Program *prog; // never null; rebindable via reset(Program)

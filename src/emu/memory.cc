@@ -20,7 +20,7 @@ Memory::resetTable()
     mask = minSlots - 1;
     store.clear();
     used = 0;
-    invalidateCache();
+    cache.fill(Slot{});
 }
 
 void
@@ -89,27 +89,24 @@ Memory::touchPage(u64 pn)
         i = (i + 1) & mask;
     slots[i] = Slot{key, p};
     ++used;
-    invalidateCache();
     return *p;
 }
 
 u64
-Memory::read(Addr addr, unsigned size) const
+Memory::readSlow(Addr addr, unsigned size) const
 {
     const u64 pn = addr / pageBytes;
     const unsigned off = addr % pageBytes;
-    u64 val = 0;
     if (off + size <= pageBytes) {
-        // Fast path: same page as the last read costs one compare.
-        if (lastRead.key != pn + 1) {
-            Page *p = lookupPage(pn);
-            if (!p)
-                return 0; // untouched memory reads as zero
-            lastRead = Slot{pn + 1, p};
-        }
-        memcpy(&val, lastRead.page->data() + off, size);
+        Page *p = lookupPage(pn);
+        if (!p)
+            return 0; // untouched memory reads as zero
+        cacheSlot(pn) = Slot{pn + 1, p};
+        u64 val = 0;
+        memcpy(&val, p->data() + off, size);
         return val;
     }
+    u64 val = 0;
     for (unsigned i = 0; i < size; ++i) {
         const Addr a = addr + i;
         if (const Page *p = lookupPage(a / pageBytes))
@@ -119,16 +116,14 @@ Memory::read(Addr addr, unsigned size) const
 }
 
 void
-Memory::write(Addr addr, u64 value, unsigned size)
+Memory::writeSlow(Addr addr, u64 value, unsigned size)
 {
     const u64 pn = addr / pageBytes;
     const unsigned off = addr % pageBytes;
     if (off + size <= pageBytes) {
-        if (lastWrite.key != pn + 1) {
-            Page *p = &touchPage(pn); // may invalidate the cache...
-            lastWrite = Slot{pn + 1, p}; // ...so (re)fill it after
-        }
-        memcpy(lastWrite.page->data() + off, &value, size);
+        Page *p = &touchPage(pn);
+        cacheSlot(pn) = Slot{pn + 1, p};
+        memcpy(p->data() + off, &value, size);
         return;
     }
     for (unsigned i = 0; i < size; ++i) {

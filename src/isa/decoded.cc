@@ -137,10 +137,11 @@ decodeInst(const Instruction &inst)
 DecodedProgram::DecodedProgram(const Program &prog)
 {
     const size_t n = prog.code.size();
-    insts.resize(n);
+    insts.resize(n + 1);
     textLimit_ = Addr(n) * instructionBytes;
     for (size_t i = 0; i < n; ++i)
         insts[i] = decodeInst(prog.code[i]);
+    insts[n].handler = endOfCodeHandler;
 
     // Block lengths, computed backward: a terminator (or the last slot
     // of an unterminated tail) is a 1-instruction block; every other

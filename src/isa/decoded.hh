@@ -72,8 +72,9 @@ enum : u16
 };
 
 /**
- * One pre-decoded instruction. Fixed 32-byte layout; the first 16
- * bytes are everything the emulator's dispatch loop touches.
+ * One pre-decoded instruction. Fixed 32-byte layout; the first 20
+ * bytes (through blockLen) are everything the emulator's run loop
+ * touches.
  */
 struct DecodedInst
 {
@@ -112,22 +113,30 @@ static_assert(sizeof(DecodedInst) == 32,
 /** Decode one static instruction (no block-length information). */
 DecodedInst decodeInst(const Instruction &inst);
 
+/** DecodedInst::handler of the end-of-code sentinel (one past the
+ *  last opcode; see DecodedProgram). */
+constexpr u8 endOfCodeHandler = u8(numOpcodes);
+
 /**
  * A Program's code segment decoded once, shared read-only by every
- * emulator and core bound to that program. Invariant used by the
- * emulator's straight-line block executor: for every pc, the
- * blockLen - 1 instructions before the block terminator are neither
- * control instructions nor HALT (so they can execute with no pc or
- * halt checks); the instruction at pc + blockLen - 1 is executed with
- * full dispatch. blockLen is exact per-pc (a branch into the middle of
- * a block sees the correctly shortened remainder).
+ * emulator and core bound to that program. Two invariants serve the
+ * emulator's threaded run loop, which charges a whole block against
+ * its budget on entry and then dispatches without per-instruction
+ * checks:
+ *  - blockLen is exact per pc: for every pc, the blockLen - 1
+ *    instructions before the block terminator are neither control
+ *    instructions nor HALT (a branch into the middle of a block sees
+ *    the correctly shortened remainder);
+ *  - data()[size()] is a sentinel whose handler is endOfCodeHandler,
+ *    so a dispatch that runs off the end of an unterminated tail
+ *    block lands on it instead of reading past the code.
  */
 class DecodedProgram
 {
   public:
     explicit DecodedProgram(const Program &prog);
 
-    size_t size() const { return insts.size(); }
+    size_t size() const { return insts.size() - 1; }
     const DecodedInst *data() const { return insts.data(); }
     const DecodedInst &at(InstAddr pc) const { return insts[pc]; }
 
@@ -136,7 +145,7 @@ class DecodedProgram
     const DecodedInst &
     fetch(InstAddr pc) const
     {
-        return pc < insts.size() ? insts[pc] : nopSentinel();
+        return pc < size() ? insts[pc] : nopSentinel();
     }
 
     /** First byte address past the text segment: stores below this
@@ -155,7 +164,7 @@ class DecodedProgram
     static const DecodedInst &nopSentinel();
 
   private:
-    std::vector<DecodedInst> insts;
+    std::vector<DecodedInst> insts; // the code, then the end sentinel
     Addr textLimit_ = 0;
 };
 

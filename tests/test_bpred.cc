@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "bpred/predictor.hh"
 
 using namespace rix;
@@ -139,6 +141,53 @@ TEST(Ras, WrapsCircularly)
     EXPECT_EQ(ras.pop(), 5u);
     EXPECT_EQ(ras.pop(), 4u);
     EXPECT_EQ(ras.pop(), 3u);
+}
+
+TEST(Ras, AnyRingSizeMatchesModuloRing)
+{
+    // The ring position is tracked beside the depth counter instead of
+    // taken modulo the ring size; for every size (powers of two or
+    // not) a random push/pop/save/restore stream must behave exactly
+    // like the modulo-indexed ring.
+    for (unsigned size : {1u, 2u, 3u, 5u, 7u, 8u, 12u}) {
+        ReturnAddressStack ras(size);
+        std::vector<InstAddr> ring(size, 0);
+        unsigned tos = 0;
+        std::vector<std::pair<ReturnAddressStack::Checkpoint,
+                              std::pair<unsigned, InstAddr>>> cps;
+        std::mt19937 rng(size);
+        for (int i = 0; i < 5'000; ++i) {
+            switch (rng() % 4) {
+              case 0: {
+                const InstAddr v = rng();
+                ras.push(v);
+                ring[tos++ % size] = v;
+                break;
+              }
+              case 1: {
+                InstAddr want = 0;
+                if (tos > 0)
+                    want = ring[--tos % size];
+                ASSERT_EQ(ras.pop(), want) << "size " << size;
+                break;
+              }
+              case 2:
+                cps.push_back({ras.save(),
+                               {tos, tos ? ring[(tos - 1) % size] : 0}});
+                break;
+              default:
+                if (cps.empty())
+                    break;
+                const auto &[cp, model] = cps[rng() % cps.size()];
+                ras.restore(cp);
+                tos = model.first;
+                if (tos > 0)
+                    ring[(tos - 1) % size] = model.second;
+                break;
+            }
+            ASSERT_EQ(ras.depth(), tos) << "size " << size;
+        }
+    }
 }
 
 TEST(PredictorUnit, DirectJumpAndCall)

@@ -9,8 +9,13 @@
  *  - full StepResult-stream equality on random-program corpora, plus
  *    final architectural state (registers, memory, output);
  *  - basic-block boundary cases: branch into the middle of a block,
- *    HALT mid-program, budget expiry inside a straight-line block,
- *    checkpoint snapshot/restore mid-block;
+ *    HALT mid-program, budget expiry inside a straight-line block and
+ *    exactly on its terminator, a budget of 1, an unterminated tail
+ *    running into the wilderness, control transfers past the code (and
+ *    a pc that wraps back into it), checkpoint snapshot/restore
+ *    mid-block;
+ *  - all 16 workloads run() in random-sized chunks, in one run() and
+ *    on the reference;
  *  - DecodedProgram structural invariants (block lengths, NOP
  *    sentinel, byte accounting, cache copy/invalidations semantics);
  *  - the immutable-text guard: a store landing in the program image
@@ -21,12 +26,15 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "cpu/core.hh"
 #include "cpu/params.hh"
 #include "emu/emulator.hh"
 #include "sim/simulator.hh"
 #include "tests/reference_interp.hh"
 #include "workload/randprog.hh"
+#include "workload/workload.hh"
 
 using namespace rix;
 
@@ -68,6 +76,26 @@ fromCode(std::vector<Instruction> code)
     p.name = "decoded-test";
     p.code = std::move(code);
     return p;
+}
+
+/** Run @p p on the decoded emulator and the reference from @p budget
+ *  onward: the cut itself, then single steps through run(1), then the
+ *  rest — every run() count and every state must agree. */
+void
+expectSameAtEveryCut(const Program &p, u64 budget, const char *what)
+{
+    Emulator dec(p);
+    ReferenceInterp ref(p);
+    const std::string at =
+        std::string(what) + " budget " + std::to_string(budget);
+    EXPECT_EQ(dec.run(budget), ref.run(budget)) << at;
+    expectSameArchState(dec, ref, at.c_str());
+    for (int i = 0; i < 6; ++i) {
+        EXPECT_EQ(dec.run(1), ref.run(1)) << at << " +1 x" << i;
+        expectSameArchState(dec, ref, (at + " then run(1)").c_str());
+    }
+    EXPECT_EQ(dec.run(1'000), ref.run(1'000)) << at;
+    expectSameArchState(dec, ref, (at + " then the rest").c_str());
 }
 
 } // namespace
@@ -174,6 +202,33 @@ TEST(DecodedDifferential, RunMatchesReferenceRun)
     }
 }
 
+TEST(DecodedDifferential, WorkloadsInRandomChunks)
+{
+    // Every workload at scale 1: run() in random-sized chunks lands on
+    // the same state as one run(), and both on the reference's.
+    std::mt19937_64 rng(29);
+    for (const std::string &name : workloadNames()) {
+        const Program p = buildWorkload(name, 1);
+        Emulator whole(p);
+        Emulator chunked(p);
+        ReferenceInterp ref(p);
+        const u64 n = whole.run();
+        ASSERT_TRUE(whole.halted()) << name;
+        EXPECT_EQ(ref.run(), n) << name;
+
+        u64 total = 0;
+        while (!chunked.halted()) {
+            // Mostly short chunks (cuts inside and on block edges),
+            // sometimes long ones.
+            const u64 len = rng() % 8 == 0 ? rng() % 100'000 : rng() % 40;
+            total += chunked.run(len);
+        }
+        EXPECT_EQ(total, n) << name;
+        expectSameArchState(chunked, whole, name.c_str());
+        expectSameArchState(chunked, ref, name.c_str());
+    }
+}
+
 // ---------------------------------------------------------------------
 // Block-boundary cases.
 // ---------------------------------------------------------------------
@@ -245,6 +300,97 @@ TEST(DecodedBlocks, HaltMidProgramAndWildernessNops)
     EXPECT_EQ(dec2.run(10'000), ref2.run(10'000));
     expectSameArchState(dec2, ref2, "nop wilderness");
     EXPECT_FALSE(dec2.halted());
+}
+
+TEST(DecodedBlocks, EveryCutOfControlEdgeCases)
+{
+    // Small programs whose block structure exercises each way the
+    // threaded loop leaves or re-enters a block; each is cut at every
+    // budget from 0 past its end.
+    struct Case
+    {
+        const char *name;
+        std::vector<Instruction> code;
+    };
+    const Case cases[] = {
+        // Budgets land exactly on the BNE terminating the loop body
+        // (4, 7, 10, ...) as well as inside it.
+        {"budget on a terminator",
+         {makeRI(Opcode::ADDQI, 1, 31, 4),
+          makeRI(Opcode::ADDQI, 2, 2, 3),
+          makeRI(Opcode::SUBQI, 1, 1, 1),
+          makeBranch(Opcode::BNE, 1, 1),
+          makeRI(Opcode::ADDQI, 3, 2, 1),
+          makeHalt()}},
+        // HALT terminates a four-instruction block entered mid-way.
+        {"halt terminates a block",
+         {makeJump(2),
+          makeRI(Opcode::ADDQI, 1, 1, 100),
+          makeRI(Opcode::ADDQI, 1, 1, 1),
+          makeRI(Opcode::ADDQI, 1, 1, 2),
+          makeRI(Opcode::ADDQI, 1, 1, 3),
+          makeHalt(),
+          makeRI(Opcode::ADDQI, 1, 1, 100)}},
+        // The last block has no terminator: execution runs off the end
+        // of the code into the NOP wilderness.
+        {"unterminated tail",
+         {makeJump(3),
+          makeHalt(),
+          makeHalt(),
+          makeRI(Opcode::ADDQI, 1, 1, 1),
+          makeRI(Opcode::ADDQI, 2, 1, 2),
+          makeRI(Opcode::ADDQI, 1, 1, 3)}},
+        // JSR to a slot past the code; the link register is written.
+        {"jsr past the code",
+         {makeRI(Opcode::ADDQI, 1, 31, 9),
+          makeCall(1'000'000),
+          makeHalt()}},
+        // A negative direct target is a slot near 2^32, also past it.
+        {"br to a negative target", {makeJump(-1), makeHalt()}},
+        // JMP through a register holding a pc past the code.
+        {"jmp past the code",
+         {makeRI(Opcode::ADDQI, 4, 31, 12'345),
+          makeIndirect(Opcode::JMP, 4),
+          makeHalt()}},
+        // RET to 2^64 - 3: three wilderness NOPs, then the pc wraps to
+        // 0 and the code runs again.
+        {"ret wraps back into the code",
+         {makeRI(Opcode::ADDQI, 5, 5, 1),
+          makeRI(Opcode::ADDQI, regRa, 31, -3),
+          makeIndirect(Opcode::RET, regRa)}},
+    };
+    for (const Case &c : cases) {
+        const Program p = fromCode(c.code);
+        for (u64 budget = 0; budget <= 30; ++budget)
+            expectSameAtEveryCut(p, budget, c.name);
+    }
+
+    // The wrap is real: after 3 + 3 NOPs and the rest, r5 counts every
+    // pass through slot 0.
+    const Program wrap = fromCode(cases[6].code);
+    Emulator e(wrap);
+    EXPECT_EQ(e.run(12), u64(12));
+    EXPECT_EQ(e.reg(5), u64(2));
+    EXPECT_EQ(e.pc(), InstAddr(0));
+}
+
+TEST(DecodedBlocks, BudgetOfOneStepsEveryInstruction)
+{
+    // run(1) repeated is the reference's step loop, whatever the
+    // block structure.
+    for (u64 seed = 1; seed <= 3; ++seed) {
+        RandProgConfig cfg;
+        cfg.branchWeight = 6;
+        cfg.callDepth = 4;
+        const Program p = generateRandomProgram(seed * 7, cfg);
+        Emulator dec(p);
+        ReferenceInterp ref(p);
+        for (u64 i = 0; i < 20'000 && !dec.halted(); ++i) {
+            ASSERT_EQ(dec.run(1), ref.run(1)) << p.name << " at " << i;
+            ASSERT_EQ(dec.pc(), ref.pc()) << p.name << " at " << i;
+        }
+        expectSameArchState(dec, ref, p.name.c_str());
+    }
 }
 
 TEST(DecodedBlocks, CheckpointRestoreMidBlock)
@@ -425,6 +571,50 @@ TEST(TextFault, MidBlockStoreCountsPartialBlock)
     EXPECT_TRUE(dec.faulted());
     EXPECT_EQ(dec.fault().pc, InstAddr(2));
     expectSameArchState(dec, ref, "mid-block text fault");
+
+    // Cut before, on and after the faulting slot: the same two
+    // instructions run in total.
+    for (u64 budget = 0; budget <= 4; ++budget) {
+        Emulator cut(p);
+        ReferenceInterp cutRef(p);
+        EXPECT_EQ(cut.run(budget), cutRef.run(budget)) << budget;
+        EXPECT_EQ(cut.run(), cutRef.run()) << budget;
+        EXPECT_EQ(cut.instsExecuted(), u64(2)) << budget;
+        expectSameArchState(cut, cutRef, "cut mid-block text fault");
+    }
+}
+
+TEST(TextFault, StoreFirstInItsBlock)
+{
+    // A faulting store as the first instruction of a block: at the
+    // run's entry pc, and as a branch target. Nothing of its block
+    // executes, whatever the budget.
+    const std::vector<Instruction> atEntry = {
+        makeStore(Opcode::STQ, 31, 16, 31), // M[16] = 0: text!
+        makeRI(Opcode::ADDQI, 1, 1, 1),
+        makeHalt(),
+    };
+    const std::vector<Instruction> atTarget = {
+        makeRI(Opcode::ADDQI, 1, 1, 1),
+        makeJump(3),
+        makeHalt(),
+        makeStore(Opcode::STL, 1, 8, 31), // M[8] = r1: text!
+        makeRI(Opcode::ADDQI, 1, 1, 1),
+        makeHalt(),
+    };
+    for (const auto *code : {&atEntry, &atTarget}) {
+        const Program p = fromCode(*code);
+        for (u64 budget = 0; budget <= 5; ++budget) {
+            Emulator dec(p);
+            ReferenceInterp ref(p);
+            EXPECT_EQ(dec.run(budget), ref.run(budget));
+            EXPECT_EQ(dec.run(), ref.run());
+            EXPECT_TRUE(dec.faulted());
+            EXPECT_EQ(dec.fault().pc, ref.fault().pc);
+            EXPECT_EQ(dec.fault().addr, ref.fault().addr);
+            expectSameArchState(dec, ref, "fault first in block");
+        }
+    }
 }
 
 TEST(TextFault, StoreJustPastTextSucceeds)

@@ -2,15 +2,19 @@
  * @file
  * Functional emulator tests: per-opcode ALU semantics, memory access,
  * control flow (calls, returns, indirect jumps), syscalls, the
- * preview/commit split used by the DIVA checker, and sparse memory.
+ * preview/commit split used by the DIVA checker, and sparse memory
+ * (its page cache checked against a byte-map model).
  */
 
 #include <cstring>
 #include <gtest/gtest.h>
+#include <map>
+#include <random>
 
 #include "assembler/builder.hh"
 #include "assembler/parser.hh"
 #include "emu/emulator.hh"
+#include "tests/reference_interp.hh"
 
 using namespace rix;
 
@@ -301,4 +305,143 @@ TEST(Memory, WriteBlock)
     Memory m;
     m.writeBlock(0x2000, {1, 2, 3, 4});
     EXPECT_EQ(m.read(0x2000, 4), 0x04030201u);
+}
+
+// ---------------------------------------------------------------------
+// The page cache in front of the page table: every answer must equal a
+// plain byte-map model, however pages alias in the cache.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Byte-at-a-time model of Memory's contract: unwritten bytes are 0. */
+struct ByteModel
+{
+    std::map<Addr, u8> bytes;
+
+    u64
+    read(Addr a, unsigned size) const
+    {
+        u64 v = 0;
+        for (unsigned i = 0; i < size; ++i) {
+            const auto it = bytes.find(a + i);
+            if (it != bytes.end())
+                v |= u64(it->second) << (8 * i);
+        }
+        return v;
+    }
+
+    void
+    write(Addr a, u64 v, unsigned size)
+    {
+        for (unsigned i = 0; i < size; ++i)
+            bytes[a + i] = u8(v >> (8 * i));
+    }
+};
+
+} // namespace
+
+TEST(Memory, AliasingPagesMatchByteModel)
+{
+    // Twelve pages 8 apart share one page-cache slot (and ten more
+    // take their neighbours'); random mixed-size traffic, including
+    // page-straddling accesses and untouched reads, must read back
+    // exactly what the model holds.
+    Memory m;
+    ByteModel model;
+    std::mt19937_64 rng(8);
+    const unsigned sizes[] = {1, 2, 4, 8};
+    for (int i = 0; i < 20'000; ++i) {
+        const u64 page = rng() % 2 ? (rng() % 12) * 8 : rng() % 10 + 1000;
+        const Addr a = page * Memory::pageBytes +
+                       (rng() % 4 == 0 ? Memory::pageBytes - 1 - rng() % 7
+                                       : rng() % Memory::pageBytes);
+        const unsigned size = sizes[rng() % 4];
+        if (rng() % 3 == 0) {
+            const u64 v = rng();
+            m.write(a, v, size);
+            model.write(a, v, size);
+        } else {
+            ASSERT_EQ(m.read(a, size), model.read(a, size))
+                << "addr 0x" << std::hex << a << " size " << size;
+        }
+    }
+    for (const auto &[a, b] : model.bytes)
+        ASSERT_EQ(m.read8(a), b);
+    for (u64 page = 0; page < 12 * 8; page += 8)
+        EXPECT_EQ(m.read64(page * Memory::pageBytes + 16),
+                  model.read(page * Memory::pageBytes + 16, 8));
+}
+
+TEST(Memory, UntouchedPageReadThenWritten)
+{
+    // A read of an untouched page returns 0 and materializes nothing;
+    // the first write then lands on a fresh page and reads back.
+    Memory m;
+    const Addr a = 0x7000'1230;
+    EXPECT_EQ(m.read64(a), 0u);
+    EXPECT_EQ(m.read(a + 4, 4), 0u);
+    EXPECT_EQ(m.numPages(), 0u);
+    m.write32(a, 0xcafef00du);
+    EXPECT_EQ(m.numPages(), 1u);
+    EXPECT_EQ(m.read64(a), 0xcafef00dull);
+    EXPECT_EQ(m.read(a + 2, 2), 0xcafeu);
+    EXPECT_EQ(m.read64(a + 8), 0u);
+}
+
+TEST(Memory, CacheAfterImportPages)
+{
+    // importPages() overwrites a cached page in place and adds one
+    // that aliases its slot; reads through the cache see both. (The
+    // cache after clear() is SparseMemory.PageCacheAfterClearAndRetouch.)
+    Memory m;
+    const Addr a = 5 * Memory::pageBytes + 40;
+    const Addr alias = (5 + 8) * Memory::pageBytes + 40; // same slot
+    m.write64(a, 12);
+    EXPECT_EQ(m.read64(a), 12u); // the slot now caches page 5
+    Memory src;
+    src.write64(a, 13);
+    src.write64(alias, 14);
+    m.importPages(src.exportPages());
+    EXPECT_EQ(m.read64(a), 13u);
+    EXPECT_EQ(m.read64(alias), 14u);
+    EXPECT_EQ(m.read64(a), 13u);
+    EXPECT_TRUE(m.contentEquals(src));
+}
+
+TEST(Memory, CacheAfterEmulatorRestore)
+{
+    // A restore must not leave reads served from the pages of the run
+    // it rewinds: snapshot, store over the snapshot's values (warming
+    // the cache on those pages), restore, and compare with a reference
+    // restored from the same checkpoint.
+    const Program p = assembleTextOrDie(R"(
+        .data
+buf:    .space 64
+        .text
+        addqi t0, zero, 1
+loop:   stq t0, 0(gp)
+        stq t0, 8192(gp)
+        addqi t0, t0, 1
+        br loop
+    )", "restore");
+    Emulator e(p);
+    e.run(20);
+    const Checkpoint c = e.snapshot();
+    const u64 at = e.memory().read64(p.dataBase);
+    e.run(40);
+    ASSERT_NE(e.memory().read64(p.dataBase), at);
+
+    e.restore(c);
+    ReferenceInterp ref(p);
+    ref.restore(c);
+    EXPECT_EQ(e.memory().read64(p.dataBase), at);
+    EXPECT_EQ(e.memory().read64(p.dataBase + 8192),
+              ref.memory().read64(p.dataBase + 8192));
+    EXPECT_TRUE(e.memory().contentEquals(ref.memory()));
+    e.run(100);
+    ref.run(100);
+    EXPECT_TRUE(e.memory().contentEquals(ref.memory()));
+    EXPECT_EQ(e.pc(), ref.pc());
 }

@@ -289,11 +289,11 @@ TEST(SparseMemory, PageCacheAfterClearAndRetouch)
     Memory m;
     m.write64(0x2000, 42);
     m.write64(0x2000 + Memory::pageBytes, 43);
-    // Warm both read-cache and write-cache slots on page 2.
+    // Warm the page cache on page 2.
     EXPECT_EQ(m.read64(0x2000), 42u);
 
     m.clear();
-    // The last-page cache must not serve stale pages after clear().
+    // The page cache must not serve stale pages after clear().
     EXPECT_EQ(m.numPages(), 0u);
     EXPECT_EQ(m.read64(0x2000), 0u);
 
@@ -311,7 +311,7 @@ TEST(SparseMemory, CacheSurvivesMaterializationOfOtherPages)
     m.write64(0x5000, 7);
     EXPECT_EQ(m.read64(0x5000), 7u);
     // Materialize many fresh pages to force table growth/rehash while
-    // the read cache points at page 5's storage.
+    // the page cache points at page 5's storage.
     for (unsigned i = 0; i < 200; ++i)
         m.write64(Addr(0x100000) + Addr(i) * Memory::pageBytes, i);
     EXPECT_EQ(m.read64(0x5000), 7u);
