@@ -81,6 +81,19 @@ IntegrationTable::lookup(ITProbe &pr, ITHandle *handle)
     return &e;
 }
 
+void
+IntegrationTable::repeatLookup(const ITProbe &pr, u64 k)
+{
+    nLookups += k;
+    const SetScan scan = scanSet(pr);
+    if (!scan.match)
+        return;
+    lruClock += k;
+    ways[size_t(pr.set) * assoc + scan.way].lru = lruClock;
+    epoch += k;
+    nHits += k;
+}
+
 ITHandle
 IntegrationTable::insert(const ITProbe &pr, const ITEntry &payload)
 {

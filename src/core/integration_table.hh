@@ -152,6 +152,13 @@ class IntegrationTable
     ITEntry *lookup(ITProbe &pr, ITHandle *handle = nullptr);
 
     /**
+     * The side effects of @p k more lookup() calls of @p pr with the
+     * table otherwise unchanged: the same counters, LRU stamp and
+     * epoch as @p k single lookups, in O(1).
+     */
+    void repeatLookup(const ITProbe &pr, u64 k);
+
+    /**
      * Write @p payload under the probed key (its PC is @p pr's) and
      * give it a fresh id. The victim is, in order: the exact tag+input
      * duplicate (overwritten in place), the first invalid way, the

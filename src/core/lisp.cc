@@ -38,6 +38,21 @@ Lisp::suppress(InstAddr pc)
 }
 
 void
+Lisp::repeatSuppress(InstAddr pc, u64 k)
+{
+    Entry *base = &table[size_t(indexOf(pc)) * assoc];
+    for (unsigned w = 0; w < assoc; ++w) {
+        Entry &e = base[w];
+        if (e.valid && e.tag == pc) {
+            lruClock += k;
+            e.lruStamp = lruClock;
+            nSuppressions += k;
+            return;
+        }
+    }
+}
+
+void
 Lisp::trainMisintegration(InstAddr pc)
 {
     ++nTrainings;

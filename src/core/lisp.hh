@@ -27,6 +27,10 @@ class Lisp
     /** Should this load's integration be suppressed? (tag hit) */
     bool suppress(InstAddr pc);
 
+    /** The side effects of @p k more suppress(@p pc) calls with the
+     *  table otherwise unchanged, in O(1). */
+    void repeatSuppress(InstAddr pc, u64 k);
+
     /** DIVA detected a mis-integration by the load at @p pc. */
     void trainMisintegration(InstAddr pc);
 

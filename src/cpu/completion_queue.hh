@@ -10,7 +10,9 @@
  * moves into the ring once it is within the horizon. Firing sorts
  * only the due bucket, so the events of one cycle fire in age
  * (sequence) order, as a (cycle, seq) min-heap would pop them, at
- * O(1) per scheduled event instead of O(log n).
+ * O(1) per scheduled event instead of O(log n). A bit per bucket
+ * marks the non-empty ones, so the next due cycle is a few word scans
+ * away (nextDue), which is what lets Core::run skip idle cycles.
  */
 
 #ifndef RIX_CPU_COMPLETION_QUEUE_HH
@@ -18,6 +20,7 @@
 
 #include <vector>
 
+#include "base/bitutil.hh"
 #include "base/types.hh"
 #include "cpu/dyn_inst_pool.hh"
 
@@ -51,6 +54,8 @@ class CompletionQueue
     {
         for (auto &b : ring)
             b.clear();
+        for (u64 &w : occupied)
+            w = 0;
         far.clear();
         farMin = ~Cycle(0);
     }
@@ -62,6 +67,7 @@ class CompletionQueue
     {
         if (when - now < horizon) {
             ring[when & (horizon - 1)].emplace_back(when, seq, h);
+            markOccupied(when);
         } else {
             far.emplace_back(when, seq, h);
             if (when < farMin)
@@ -82,6 +88,7 @@ class CompletionQueue
             admitFar(now);
         firing.clear();
         firing.swap(ring[now & (horizon - 1)]);
+        occupied[(now & (horizon - 1)) >> 6] &= ~(u64(1) << (now & 63));
         // Insertion sort by age: a cycle completes only a handful of
         // instructions.
         for (size_t i = 1; i < firing.size(); ++i) {
@@ -94,7 +101,43 @@ class CompletionQueue
         return firing;
     }
 
+    /**
+     * The earliest cycle, at or after @p now, with an event pending
+     * (~Cycle(0) when none is). Like take(), it assumes every cycle
+     * before @p now has been taken, so the ring holds only cycles
+     * [now, now + horizon) and a bucket's position gives its cycle.
+     * Every ring event precedes every overflow one: take() admits each
+     * overflow event once it is within the horizon of the cycle taken,
+     * and a push lands in the ring only within that horizon.
+     */
+    Cycle
+    nextDue(Cycle now) const
+    {
+        const unsigned start = unsigned(now & (horizon - 1));
+        unsigned word = start >> 6;
+        u64 bits = occupied[word] & (~u64(0) << (start & 63));
+        // The start word is visited twice: first from the start bit up,
+        // and last, after the wrap, for the buckets below it.
+        for (unsigned i = 0; i <= words; ++i) {
+            if (bits != 0) {
+                const unsigned pos = (word << 6) | ctz64(bits);
+                return now + ((pos - start) & (horizon - 1));
+            }
+            word = (word + 1) & (words - 1);
+            bits = occupied[word];
+        }
+        return farMin;
+    }
+
   private:
+    static constexpr unsigned words = horizon / 64;
+
+    void
+    markOccupied(Cycle when)
+    {
+        occupied[(when & (horizon - 1)) >> 6] |= u64(1) << (when & 63);
+    }
+
     /** Move the overflow events now within the horizon into the ring. */
     void
     admitFar(Cycle now)
@@ -104,6 +147,7 @@ class CompletionQueue
         for (const Event &ev : far) {
             if (ev.when < now + horizon) {
                 ring[ev.when & (horizon - 1)].push_back(ev);
+                markOccupied(ev.when);
             } else {
                 far[keep++] = ev;
                 if (ev.when < farMin)
@@ -114,6 +158,7 @@ class CompletionQueue
     }
 
     std::vector<std::vector<Event>> ring; // bucket = when mod horizon
+    u64 occupied[words] = {};             // bit b: ring[b] is non-empty
     std::vector<Event> far;               // when >= now + horizon
     Cycle farMin = ~Cycle(0);
     std::vector<Event> firing;            // the events take() returned

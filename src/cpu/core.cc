@@ -1,5 +1,6 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "base/log.hh"
@@ -62,13 +63,13 @@ Core::resetMicroarch(const Program &program, const CoreParams &params)
     checkRobSlots();
     sq.clear();
     lq.clear();
+    sqHeadPos = 0;
+    lqHeadPos = 0;
     rsBusy = 0;
 
     // Event plumbing and issue scratch.
     completions.clear();
-    waiters.resize(p.integ.numPhysRegs);
-    for (auto &w : waiters)
-        w.clear();
+    waiters.assign(p.integ.numPhysRegs, WaitList{});
     issuePrio.resize(p.rsSize);
     issueRest.resize(p.rsSize);
     issueMask.assign((rob.slots() + 63) / 64, 0);
@@ -178,6 +179,11 @@ Core::memReadOverlay(Addr addr, unsigned size, InstSeqNum before) const
 void
 Core::tick()
 {
+    changed_ = false;
+    fetchRepeats_ = false;
+    renameRepeats_ = false;
+    issueWake_ = ~Cycle(0);
+
     retireStage();
     if (done)
         return;
@@ -188,7 +194,8 @@ Core::tick()
 
     // Write-buffer drain: one committed store per cycle into the cache
     // (timing only).
-    writeBuffer.tick(cycle, [this](Addr a) { mem.write(a, cycle); });
+    if (writeBuffer.tick(cycle, [this](Addr a) { mem.write(a, cycle); }))
+        changed_ = true;
 
     stats_.rsOccupancySum += rsBusy;
     stats_.robOccupancySum += rob.size();
@@ -218,9 +225,67 @@ Core::RunResult
 Core::run(u64 max_retired, Cycle max_cycles)
 {
     while (!done && stats_.retired < max_retired &&
-           stats_.cycles < max_cycles)
+           stats_.cycles < max_cycles) {
         tick();
+        if (!changed_ && !done)
+            skipQuiescent(max_cycles);
+    }
     return {stats_.retired, stats_.cycles, done};
+}
+
+Cycle
+Core::nextEventCycle() const
+{
+    // The tick just run, at cycle - 1, changed nothing but counters and
+    // stamps. Each term below is the first cycle at which one of its
+    // blocked conditions lifts by time alone; every other way out of
+    // quiescence needs some change first. Retire and the write buffer
+    // need no term: an instruction completes, and a store enters the
+    // write buffer, only in a changed tick, and the next tick retires
+    // it or drains it (another change), so a quiescent tick sees an
+    // empty write buffer and a ROB head that is not complete or is held
+    // by the retire stop.
+    Cycle t = std::min(completions.nextDue(cycle), issueWake_);
+    if (fetchStallUntil >= cycle)
+        t = std::min(t, fetchStallUntil);
+    if (!fetchQueue.empty()) {
+        const Cycle ready = pool.get(fetchQueue.front()).renameReadyCycle;
+        if (ready >= cycle)
+            t = std::min(t, ready);
+    }
+    // The tick at lastProgressCycle + watchdogCycles trips the watchdog.
+    const Cycle trip = p.watchdogCycles > ~Cycle(0) - lastProgressCycle
+                           ? ~Cycle(0)
+                           : lastProgressCycle + p.watchdogCycles;
+    return std::min(t, trip);
+}
+
+void
+Core::skipQuiescent(Cycle max_cycles)
+{
+    // cycle and stats_.cycles both count from reset, so max_cycles
+    // bounds the one as it does the other.
+    const Cycle until = std::min(nextEventCycle(), max_cycles);
+    if (until <= cycle)
+        return;
+    // Every tick in [cycle, until) would repeat the quiescent one.
+    const u64 k = until - cycle;
+    if (fetchRepeats_)
+        mem.repeatIfetchHit(fetchRepeatAddr_, k);
+    if (renameRepeats_) {
+        if (renameRepeatProbe_.made())
+            integ.table().repeatLookup(renameRepeatProbe_, k);
+        if (renameRepeatSuppressed_) {
+            integ.lisp().repeatSuppress(renameRepeatPc_, k);
+            stats_.lispFalseCandidates += k;
+        }
+        if (renameRepeatOracle_)
+            stats_.oracleSuppressions += k;
+    }
+    stats_.rsOccupancySum += k * rsBusy;
+    stats_.robOccupancySum += k * rob.size();
+    cycle += k;
+    stats_.cycles += k;
 }
 
 void

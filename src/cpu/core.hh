@@ -85,14 +85,22 @@ class Core
         bool halted = false;
     };
 
-    /** Advance one cycle. */
+    /** Advance one cycle: the reference that run() must match. */
     void tick();
 
-    /** Run until HALT retires or a limit is hit. Note run() is a stop
-     *  *condition* checked between cycles: the final cycle can retire
-     *  up to retire-width instructions past @p max_retired. A driver
-     *  that polls or samples between cycles (SimContext) runs it in
-     *  chunks, passing each chunk's end as @p max_cycles. */
+    /**
+     * Run until HALT retires or a limit is hit. Note run() is a stop
+     * *condition* checked between cycles: the final cycle can retire
+     * up to retire-width instructions past @p max_retired. A driver
+     * that polls or samples between cycles (SimContext) runs it in
+     * chunks, passing each chunk's end as @p max_cycles.
+     *
+     * Bit-identical to calling tick() until the same condition holds,
+     * but faster: after a quiescent tick (one the next ticks would only
+     * repeat; see changed_) run() jumps to the next cycle at which
+     * anything can change and applies the skipped cycles' effects in
+     * closed form.
+     */
     RunResult run(u64 max_retired = ~u64(0), Cycle max_cycles = ~Cycle(0));
 
     /**
@@ -189,9 +197,9 @@ class Core
         InstSeqNum seq = 0;
 
         InstRef() = default;
-        // A constructor lets emplace_back build a ref in its slot; a
-        // braced temporary is built on the stack and copied with one
-        // wide load that stalls on the two narrow stores before it.
+        // A constructor builds a ref in its slot; a braced aggregate
+        // temporary is built on the stack and copied with one wide load
+        // that stalls on the two narrow stores before it.
         InstRef(InstHandle handle, InstSeqNum s) : h(handle), seq(s) {}
     };
 
@@ -233,9 +241,13 @@ class Core
     /** Issue-readiness check with wakeup registration: a candidate
      *  blocked on a source register parks itself on that register's
      *  waiter list (and leaves the issue mask) until writeback wakes
-     *  it; retry-backoff and CHT-blocked candidates return false
-     *  without parking and are re-polled. */
+     *  it; CHT-blocked loads return false without parking and are
+     *  re-polled. */
     bool checkReadyOrPark(DynInst &di);
+    /** Append @p di to register @p r's waiter list. */
+    void waitOn(PhysReg r, DynInst &di);
+    /** Take a squashed @p di off the waiter list it is on, if any. */
+    void unwait(const DynInst &di);
     void
     setIssueBit(u16 slot)
     {
@@ -254,6 +266,14 @@ class Core
     void resolveControl(DynInst &di);
     u64 memReadOverlay(Addr addr, unsigned size, InstSeqNum before) const;
     void checkStoreViolation(DynInst &store_inst);
+
+    // ---- quiescence (run()'s cycle skipping; core.cc) ----
+    /** The earliest cycle, at or after `cycle`, at which a tick can
+     *  differ from the quiescent one just run. */
+    Cycle nextEventCycle() const;
+    /** After a quiescent tick: advance to the next event (at most to
+     *  @p max_cycles), applying the skipped ticks' effects. */
+    void skipQuiescent(Cycle max_cycles);
 
     // ---- recovery ----
     /**
@@ -342,6 +362,10 @@ class Core
     HandleRing rob;
     std::deque<SqEntry> sq;
     std::deque<LqEntry> lq;
+    // Queue positions of sq.front() and lq.front(), counted since
+    // reset: an op's entry is sq[di.lsqPos - sqHeadPos] (lq alike).
+    u32 sqHeadPos = 0;
+    u32 lqHeadPos = 0;
     unsigned rsBusy = 0;
 
     // ---- event plumbing ----
@@ -352,9 +376,16 @@ class Core
     CompletionQueue completions;
     // Instructions waiting for a physical register's value, indexed by
     // that register: integrated instructions that complete with it and
-    // RS instructions parked on it as a source. Writeback drains a
-    // register's list once (clearing it, capacity kept).
-    std::vector<std::vector<InstRef>> waiters;
+    // RS instructions parked on it as a source. Each list is threaded
+    // through DynInst::waitNext (a record waits on one register at a
+    // time), in the order the records joined it; writeback drains a
+    // register's list once, and a squash unlinks its victims.
+    struct WaitList
+    {
+        InstHandle head = invalidInstHandle;
+        InstHandle tail = invalidInstHandle;
+    };
+    std::vector<WaitList> waiters;
     // Issue-candidate buffers (priority and other), rsSize entries
     // each, reused every cycle.
     std::vector<InstRef> issuePrio, issueRest;
@@ -377,6 +408,32 @@ class Core
     // cycle (sq cannot change during candidate collection) so the
     // per-load collision check is O(1) instead of an SQ scan.
     InstSeqNum oldestUnresolvedStore = ~InstSeqNum(0);
+
+    // ---- quiescence ----
+    // A tick is quiescent when the ticks after it would repeat its
+    // repeatable effects and do nothing else: the cycle and occupancy
+    // sums, the fetch probe of a full fetch queue, and the stalled
+    // rename head's integration attempt. Any other effect (a retire, a
+    // writeback event, an issue attempt, a fetch or fetch stall, a
+    // rename, a write-buffer drain, a squash) sets changed_. A park
+    // does not: it only takes its candidate out of later scans. tick()
+    // clears changed_ and the repeat records below; the stages fill
+    // them in.
+    bool changed_ = false;
+    // Fetch probed this line and fetched nothing (full fetch queue).
+    bool fetchRepeats_ = false;
+    Addr fetchRepeatAddr_ = 0;
+    // The rename head stalled after its integration attempt: the IT
+    // probe it made (made() false: none), whether the LISP vetoed it
+    // (a LISP hit on its pc) and whether the oracle did.
+    bool renameRepeats_ = false;
+    ITProbe renameRepeatProbe_;
+    InstAddr renameRepeatPc_ = 0;
+    bool renameRepeatSuppressed_ = false;
+    bool renameRepeatOracle_ = false;
+    // The earliestIssue of the candidate that ended the issue scan
+    // (~0: none did): the first cycle a skipped candidate may issue.
+    Cycle issueWake_ = ~Cycle(0);
 
     // ---- bookkeeping ----
     u64 retireStopAt = ~u64(0);

@@ -53,12 +53,17 @@ struct DynInst
     // ---- first cache line: issue-scan and writeback state ----
     InstSeqNum seq = 0;
     Cycle earliestIssue = 0;
-    Cycle retryCycle = 0;       // LSQ retry backoff
     InstAddr pc = 0;            // identity; also the CHT index
     // Pre-decoded metadata for this static instruction, set at fetch
     // alongside inst; points into the program's shared DecodedProgram
     // (kept alive by Core::deco_). Never null once fetched.
     const DecodedInst *dec = nullptr;
+    // The next record on the waiter list this one is on (the core's
+    // per-register lists, walked at writeback); ~0 at the tail.
+    // Meaningful only while waitingOperand, or integrated and not
+    // completed.
+    u32 waitNext = ~u32(0);
+    u32 lsqPos = 0;             // LQ/SQ position (memory ops; Core::sq)
     PhysReg psrc1 = invalidPhysReg, psrc2 = invalidPhysReg;
     PhysReg pdest = invalidPhysReg;
     u8 gsrc1 = 0, gsrc2 = 0;

@@ -32,23 +32,66 @@ rangesOverlap(Addr a, unsigned asize, Addr b, unsigned bsize)
 
 } // namespace
 
+void
+Core::waitOn(PhysReg r, DynInst &di)
+{
+    WaitList &list = waiters[r];
+    di.waitNext = invalidInstHandle;
+    if (list.head == invalidInstHandle)
+        list.head = di.selfHandle;
+    else
+        pool.get(list.tail).waitNext = di.selfHandle;
+    list.tail = di.selfHandle;
+}
+
+void
+Core::unwait(const DynInst &di)
+{
+    // An integrated instruction waits on its own (shared) destination;
+    // a parked one on the first source checkReadyOrPark found unready,
+    // which stays unready until writeback empties its list.
+    PhysReg r;
+    if (di.waitingOperand)
+        r = di.hasSrc1 && !regState.ready(di.psrc1) ? di.psrc1 : di.psrc2;
+    else if (di.integrated && !di.completed)
+        r = di.pdest;
+    else
+        return;
+    WaitList &list = waiters[r];
+    InstHandle prev = invalidInstHandle;
+    InstHandle h = list.head;
+    while (h != di.selfHandle) {
+        if (h == invalidInstHandle)
+            rix_panic("seq %llu is not on p%u's waiter list",
+                      (unsigned long long)di.seq, unsigned(r));
+        prev = h;
+        h = pool.get(h).waitNext;
+    }
+    if (prev == invalidInstHandle)
+        list.head = di.waitNext;
+    else
+        pool.get(prev).waitNext = di.waitNext;
+    if (list.tail == di.selfHandle)
+        list.tail = prev;
+}
+
 bool
 Core::checkReadyOrPark(DynInst &di)
 {
+    // A park leaves quiescence (changed_) alone: it only takes the
+    // candidate out of later scans, which then repeat without it.
     if (di.hasSrc1 && !regState.ready(di.psrc1)) {
         di.waitingOperand = true;
         clearIssueBit(di.robSlot);
-        waiters[di.psrc1].emplace_back(di.selfHandle, di.seq);
+        waitOn(di.psrc1, di);
         return false;
     }
     if (di.hasSrc2 && !regState.ready(di.psrc2)) {
         di.waitingOperand = true;
         clearIssueBit(di.robSlot);
-        waiters[di.psrc2].emplace_back(di.selfHandle, di.seq);
+        waitOn(di.psrc2, di);
         return false;
     }
-    if (di.retryCycle > cycle)
-        return false;
     if (di.dec->isLoad()) { // dec is on the scanned line; inst is not
         const SatCounter &c = cht[di.pc & (cht.size() - 1)];
         if (c.predictTaken() && oldestUnresolvedStore < di.seq)
@@ -143,8 +186,8 @@ Core::executeLoad(DynInst &di)
 
     if (partial_conflict) {
         // Conservative: a partially overlapping resolved store cannot
-        // forward; retry until the store drains at retirement.
-        di.retryCycle = cycle + 1;
+        // forward; retry each cycle until the store drains at
+        // retirement.
         return false;
     }
 
@@ -156,15 +199,11 @@ Core::executeLoad(DynInst &di)
     if (di.hasDest)
         pregValue[di.pdest] = value;
 
-    for (auto &e : lq) {
-        if (e.seq == di.seq) {
-            e.addr = addr;
-            e.size = size;
-            e.resolved = true;
-            e.forwardedFrom = forwarded_from;
-            break;
-        }
-    }
+    LqEntry &own = lq[di.lsqPos - lqHeadPos];
+    own.addr = addr;
+    own.size = size;
+    own.resolved = true;
+    own.forwardedFrom = forwarded_from;
 
     const Cycle agen_done = cycle + p.agenLatency;
     const Cycle done = forwarded
@@ -212,15 +251,11 @@ Core::executeStore(DynInst &di)
     di.addrValid = true;
     di.storeData = pregValue[di.psrc2];
 
-    for (auto &e : sq) {
-        if (e.seq == di.seq) {
-            e.addr = addr;
-            e.size = di.dec->size;
-            e.data = di.storeData;
-            e.resolved = true;
-            break;
-        }
-    }
+    SqEntry &own = sq[di.lsqPos - sqHeadPos];
+    own.addr = addr;
+    own.size = di.dec->size;
+    own.data = di.storeData;
+    own.resolved = true;
 
     scheduleCompletion(di, cycle + p.agenLatency);
     checkStoreViolation(di);
@@ -314,6 +349,7 @@ Core::issueStage()
             const InstHandle h = rob.atSlot(slot);
             DynInst &di = pool.get(h);
             if (di.earliestIssue > cycle) {
+                issueWake_ = di.earliestIssue;
                 more = false;
                 break;
             }
@@ -329,6 +365,8 @@ Core::issueStage()
         if (pos == nslots)
             pos = 0;
     }
+    if (nprio + nrest != 0)
+        changed_ = true;
 
     for (const auto &[bucket, count] :
          {std::pair{prio, nprio}, std::pair{rest, nrest}}) {
@@ -363,7 +401,10 @@ Core::resolveControl(DynInst &di)
 void
 Core::writebackStage()
 {
-    for (const CompletionQueue::Event &ev : completions.take(cycle)) {
+    const std::vector<CompletionQueue::Event> &due = completions.take(cycle);
+    if (!due.empty())
+        changed_ = true;
+    for (const CompletionQueue::Event &ev : due) {
         DynInst *di = &pool.get(ev.h);
         if (di->seq != ev.seq)
             continue; // squashed in flight (slot recycled)
@@ -372,20 +413,18 @@ Core::writebackStage()
 
         if (di->hasDest && !di->integrated) {
             regState.markReady(di->pdest);
-            std::vector<InstRef> &list = waiters[di->pdest];
-            for (const InstRef &r : list) {
-                DynInst &w = pool.get(r.h);
-                if (w.seq != r.seq)
-                    continue; // squashed since it parked
+            WaitList &list = waiters[di->pdest];
+            for (InstHandle h = list.head; h != invalidInstHandle;) {
+                DynInst &w = pool.get(h);
+                h = w.waitNext;
                 if (w.integrated) {
-                    if (!w.completed)
-                        completeNow(w, cycle);
-                } else if (w.waitingOperand) {
+                    completeNow(w, cycle);
+                } else {
                     w.waitingOperand = false;
                     setIssueBit(w.robSlot); // a candidate from this cycle
                 }
             }
-            list.clear(); // keeps capacity for reuse
+            list = WaitList{};
         }
 
         if (di->isCtrl && di->resolved)

@@ -34,6 +34,7 @@ Core::fetchStage()
     if (ready > cycle + p.mem.l1i.hitLatency) {
         // Miss: fetch resumes when the line arrives.
         fetchStallUntil = ready;
+        changed_ = true;
         return;
     }
 
@@ -61,6 +62,13 @@ Core::fetchStage()
             break; // redirect: next group starts next cycle
         if (fetchPc % line_insts == 0)
             break; // crossed into the next cache line
+    }
+    if (fetched != 0) {
+        changed_ = true;
+    } else {
+        // A full queue: the same hit probe repeats every cycle.
+        fetchRepeats_ = true;
+        fetchRepeatAddr_ = byte_addr;
     }
 }
 

@@ -111,7 +111,7 @@ Core::applyIntegration(DynInst &di, const IntegrationResult &res)
     if (regState.ready(res.preg)) {
         completeNow(di, cycle);
     } else {
-        waiters[res.preg].emplace_back(di.selfHandle, di.seq);
+        waitOn(res.preg, di);
     }
 }
 
@@ -168,11 +168,24 @@ Core::renameOne(InstHandle h)
     IntegrationResult res = integ.tryIntegrate(cand, &probe);
     if (res.suppressed)
         ++stats_.lispFalseCandidates;
-    if (res.integrated && p.integ.lisp == LispMode::Oracle &&
-        oracleWouldMisintegrate(di, res)) {
+    const bool oracle_veto = res.integrated &&
+                             p.integ.lisp == LispMode::Oracle &&
+                             oracleWouldMisintegrate(di, res);
+    if (oracle_veto) {
         ++stats_.oracleSuppressions;
         res = IntegrationResult{};
     }
+    // A structural stall from here on repeats this attempt, with the
+    // same effects, every cycle until a resource frees: record them
+    // for run()'s closed form.
+    auto stall = [&] {
+        renameRepeats_ = true;
+        renameRepeatProbe_ = probe;
+        renameRepeatPc_ = di.pc;
+        renameRepeatSuppressed_ = res.suppressed;
+        renameRepeatOracle_ = oracle_veto;
+        return false;
+    };
 
     if (res.integrated) {
         finishRenameCommon(di);
@@ -200,11 +213,11 @@ Core::renameOne(InstHandle h)
     // ---- normal rename path ----
     const bool needs_rs = dec.needsRs();
     if (needs_rs && rsBusy >= p.rsSize)
-        return false;
+        return stall();
     if (dec.writesReg()) {
         const PhysReg pdest = regState.tryAllocate();
         if (pdest == invalidPhysReg)
-            return false;
+            return stall();
         const LogReg dst = inst.rc;
         di.hasDest = true;
         di.pdest = pdest;
@@ -227,12 +240,15 @@ Core::renameOne(InstHandle h)
     }
 
     // Queue allocation for memory operations.
-    if (dec.isLoad())
+    if (dec.isLoad()) {
+        di.lsqPos = lqHeadPos + u32(lq.size());
         lq.push_back(
             LqEntry{di.seq, di.selfHandle, 0, dec.size, false, 0});
-    else if (dec.isStore())
+    } else if (dec.isStore()) {
+        di.lsqPos = sqHeadPos + u32(sq.size());
         sq.push_back(
             SqEntry{di.seq, di.selfHandle, 0, dec.size, 0, false});
+    }
 
     // Instructions that never enter the execution engine.
     switch (dec.instClass()) {
@@ -290,6 +306,7 @@ Core::renameStage()
             fetchQueue.push_front(h);
             return;
         }
+        changed_ = true;
     }
 }
 

@@ -62,6 +62,7 @@ Core::squashFrom(DynInst &boundary, bool include_boundary, InstAddr new_pc,
     while (!rob.empty() && pool.get(rob.back()).seq > bseq) {
         DynInst &victim = pool.get(rob.back());
         clearIssueBit(victim.robSlot);
+        unwait(victim);
         undoRename(victim);
         if (tracing) {
             victim.squashCause = cause;
@@ -95,6 +96,7 @@ Core::squashFrom(DynInst &boundary, bool include_boundary, InstAddr new_pc,
 
     fetchPc = new_pc;
     fetchStallUntil = cycle + penalty;
+    changed_ = true;
 }
 
 bool
@@ -265,6 +267,7 @@ Core::retireStage()
             return;
         }
         lastProgressCycle = cycle;
+        changed_ = true;
 
         if (di.hasDest && di.oldDestValid)
             regState.releaseOverwrite(di.oldDest);
@@ -274,6 +277,7 @@ Core::retireStage()
                 rix_panic("SQ head mismatch at retire");
             writeBuffer.push(di.effAddr, cycle);
             sq.pop_front();
+            ++sqHeadPos;
         } else if (di.isLoad() && !di.integrated) { // owns an LQ entry
             if (lq.empty() || lq.front().seq != di.seq)
                 rix_panic("LQ head mismatch at retire");
@@ -282,6 +286,7 @@ Core::retireStage()
                 uncountedEvents_ |= u64(1) << kCovRetireChtDecrement;
             }
             lq.pop_front();
+            ++lqHeadPos;
         }
 
         if (di.isCtrl) {

@@ -128,6 +128,23 @@ Cache::access(Addr addr, bool is_write, Cycle now,
 }
 
 void
+Cache::repeatHit(Addr addr, u64 k)
+{
+    const Addr la = lineAddrOf(addr);
+    Line *base = &lines[size_t(setOf(la)) * p.assoc];
+    for (u32 w = 0; w < p.assoc; ++w) {
+        Line &line = base[w];
+        if (line.valid && line.tag == tagOf(la)) {
+            lruClock += k;
+            line.lruStamp = lruClock;
+            nHits += k;
+            return;
+        }
+    }
+    rix_panic("%s: repeatHit on a missing line", p.name.c_str());
+}
+
+void
 Cache::invalidateAll()
 {
     for (auto &l : lines)

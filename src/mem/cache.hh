@@ -103,6 +103,13 @@ class Cache
         return false;
     }
 
+    /**
+     * The side effects of @p k more read hits on @p addr, which must
+     * hit, with the fill done: the same LRU stamp and counters as @p k
+     * tryHit calls, in O(1). Core::run skips idle cycles with it.
+     */
+    void repeatHit(Addr addr, u64 k);
+
     /** True if @p addr currently hits (no state change; tests). */
     bool probe(Addr addr) const;
 

@@ -46,6 +46,16 @@ class MemHierarchy
     /** Instruction fetch of the line containing @p addr. */
     Cycle ifetch(Addr addr, Cycle now);
 
+    /** The side effects of @p k more ifetch calls on @p addr, whose
+     *  ITLB and L1I lookups must both hit: what @p k repeats of an
+     *  idle cycle's fetch probe would do, in O(1). */
+    void
+    repeatIfetchHit(Addr addr, u64 k)
+    {
+        itlbUnit.repeatHit(addr, k);
+        l1iCache.repeatHit(addr, k);
+    }
+
     /** Data read; returns data-available cycle. */
     Cycle read(Addr addr, Cycle now);
 

@@ -35,6 +35,24 @@ Tlb::probe(Addr addr) const
     return false;
 }
 
+void
+Tlb::repeatHit(Addr addr, u64 k)
+{
+    const u64 vpn = vpnOf(addr);
+    const unsigned assoc = unsigned(table.size()) / sets;
+    Entry *base = &table[size_t(setOf(vpn)) * assoc];
+    for (unsigned w = 0; w < assoc; ++w) {
+        Entry &e = base[w];
+        if (e.valid && e.vpn == vpn) {
+            lruClock += k;
+            e.lruStamp = lruClock;
+            nHits += k;
+            return;
+        }
+    }
+    rix_panic("TLB: repeatHit on a missing page");
+}
+
 Cycle
 Tlb::fillOnMiss(u64 vpn, Entry *base, unsigned assoc)
 {

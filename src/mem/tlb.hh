@@ -55,6 +55,11 @@ class Tlb
         return fillOnMiss(vpn, base, assoc);
     }
 
+    /** The side effects of @p k more hits on @p addr's page, which
+     *  must hit: the same LRU stamp and counter as @p k access calls,
+     *  in O(1). */
+    void repeatHit(Addr addr, u64 k);
+
     bool probe(Addr addr) const;
 
     u64 hits() const { return nHits; }

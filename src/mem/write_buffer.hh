@@ -34,21 +34,23 @@ class WriteBuffer
     }
 
     /**
-     * Drain up to one store into the cache this cycle.
+     * Drain up to one store into the cache this cycle; true if one
+     * drained.
      * @param drain invoked with the store's address; performs the
      *              timing access to the data cache.
      */
     template <typename DrainFn>
-    void
+    bool
     tick(Cycle now, DrainFn &&drain)
     {
         if (q.empty())
-            return;
+            return false;
         if (q.front().enqueueCycle >= now)
-            return; // entered this cycle; drains next cycle at earliest
+            return false; // entered this cycle; drains next cycle at earliest
         drain(q.front().addr);
         q.pop_front();
         ++nDrains;
+        return true;
     }
 
     u64 pushes() const { return nPushes; }

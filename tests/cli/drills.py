@@ -22,6 +22,7 @@ import io
 import json
 import operator
 import os
+import platform
 import re
 import shutil
 import signal
@@ -32,6 +33,16 @@ import time
 import zlib
 
 BUILD = SRC = ""
+# A drill that cannot run in this build or on this host raises Skip;
+# main() reports the reason and exits with this code, which ctest
+# counts as a skipped test (SKIP_RETURN_CODE in CMakeLists.txt).
+SKIP_EXIT = 77
+
+
+class Skip(Exception):
+    pass
+
+
 # Below ctest's per-test TIMEOUT, so a hung child raises here and the
 # drill's cleanup still runs.
 COMMAND_TIMEOUT_S = 240
@@ -674,13 +685,42 @@ def fault_fuzz_guided():
     assert rec["failures"] > rec["unique_failures"], rec
 
 
+def hostprof():
+    # The host profile's stage table keeps up with the code: on a
+    # detailed `rix run`, at least 90% of the sampler's PCs that land in
+    # rix map to a stage of tools/hostprof/stages.tsv, so a renamed or
+    # new hot function fails here instead of silently becoming "other".
+    if platform.system() != "Linux" or platform.machine() != "x86_64":
+        raise Skip("the sampler reads x86-64 Linux signal contexts only")
+    if "-fsanitize" in read(os.path.join(BUILD, "CMakeCache.txt")):
+        raise Skip("a sanitizer build cannot LD_PRELOAD the sampler: "
+                   "the sanitizer runtime must be the first library loaded")
+    lib = os.path.join(BUILD, "tools", "libhostprof.so")
+    run(rix("run", "--scale", "8", spec("fig5.json")), RIX_JOBS=1,
+        LD_PRELOAD=lib)
+    (samples,) = glob.glob("hostprof.*.out")
+    report = json.loads(run([sys.executable,
+                             os.path.join(SRC, "tools", "hostprof",
+                                          "report.py"),
+                             samples, os.path.join(BUILD, "rix"),
+                             "--json"]).stdout)
+    print(json.dumps({k: report[k] for k in ("samples", "in_binary",
+                                             "mapped_frac", "stages")}))
+    # ~225 samples per CPU-second; fewer than 200 would mean the timer
+    # never armed or the run got too short to say anything.
+    assert report["in_binary"] >= 200, report
+    assert report["mapped_frac"] >= 0.9, (
+        "only %.1f%% of samples map to a stage; unmapped: %s"
+        % (100 * report["mapped_frac"], report["unmapped"][:10]))
+
+
 DRILLS = {f.__name__: f for f in (
     throughput, zero_overhead, validate_specs, fig5_jobs_identical,
     scenario_sweeps, paper_claims, sampled_smoke, sampled_exact_equals_full,
     sampled_speedup, functional, raw_word_decode_confined, fuzz_blind,
     fuzz_guided, gate, compare_forged_divergence, trace, trace_spec_block,
     serve_smoke, diagnostics, kill9_resume, serve_fault_drill,
-    fault_fuzz_blind, fault_fuzz_guided)}
+    fault_fuzz_blind, fault_fuzz_guided, hostprof)}
 
 
 def main():
@@ -700,7 +740,11 @@ def main():
             shutil.rmtree(p)
         else:
             os.unlink(p)
-    DRILLS[a.drill]()
+    try:
+        DRILLS[a.drill]()
+    except Skip as why:
+        print("cli.%s skipped: %s" % (a.drill, why))
+        return SKIP_EXIT
     print("cli.%s OK" % a.drill)
 
 

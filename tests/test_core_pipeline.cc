@@ -460,8 +460,8 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
     EXPECT_NE(pool.get(h).seq, 42u);
 
     // A recycled slot comes back as a default record: the pipeline
-    // reads some fields (retry cycle, status flags, refcount, IT
-    // handles, squash cause) before any stage writes them.
+    // reads some fields (status flags, refcount, IT handles, squash
+    // cause) before any stage writes them.
     // Dirty every field, release, and take the same slot back (the
     // free list is LIFO).
     static const DecodedInst someDecoded{};
@@ -469,7 +469,8 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
     DynInst &w = pool.get(d);
     w.seq = 7;
     w.earliestIssue = 11;
-    w.retryCycle = 12;
+    w.waitNext = 12;
+    w.lsqPos = 12;
     w.pc = 13;
     w.psrc1 = 1;
     w.psrc2 = 2;
@@ -510,7 +511,8 @@ TEST(DynInstPool, ReleaseInvalidatesStaleRefs)
     EXPECT_EQ(r.selfHandle, d);
     EXPECT_EQ(r.seq, fresh.seq);
     EXPECT_EQ(r.earliestIssue, fresh.earliestIssue);
-    EXPECT_EQ(r.retryCycle, fresh.retryCycle);
+    EXPECT_EQ(r.waitNext, fresh.waitNext);
+    EXPECT_EQ(r.lsqPos, fresh.lsqPos);
     EXPECT_EQ(r.pc, fresh.pc);
     EXPECT_EQ(r.psrc1, fresh.psrc1);
     EXPECT_EQ(r.psrc2, fresh.psrc2);
